@@ -33,15 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandwidth import REGIMES, EpsilonSchedule
-from .estimators import (
-    EstimationError,
-    UndefinedEntropyError,
-    estimate_q11,
-    estimate_q11_incomplete,
-    estimate_q20,
-    estimate_q20_incomplete,
-    log_gap,
-)
+from .estimators import EstimationError, count_pairs, estimate_piece, evaluate
 from .montecarlo import (
     EstimatorSpec,
     ExperimentPlan,
@@ -399,64 +391,30 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
     if not two_sample and len(paths) not in (1, 2):
         raise _InputError("expected one or two input files")
     samples = [_read_sample(p) for p in paths]
-    eps = merged["epsilon"]
     variant = merged["variant"]
-    gap = merged["gap"]
-    if variant == "complete" and gap is not None:
+    if variant == "complete" and merged["gap"] is not None:
         raise _InputError("--gap applies to the incomplete variant only")
-    if variant == "incomplete" and gap is None:
-        gap = log_gap(samples[0].shape[0])
-
-    def within(sample):
-        if variant == "complete":
-            return estimate_q20(sample, eps)
-        return estimate_q20_incomplete(sample, eps, gap)
-
-    def between(a, b):
-        if variant == "complete":
-            return estimate_q11(a, b, eps)
-        return estimate_q11_incomplete(a, b, eps, gap)
-
-    echo_sample = samples[0]
-    if functional in ("q20", "q02"):
-        if functional == "q02" and len(samples) == 2:
-            echo_sample = samples[1]
-        est = within(echo_sample)
-        _print_kv("value", est.value)
-        _print_kv("raw_count", est.raw_count)
-        _print_kv("normalizer", est.normalizer)
-    elif functional == "q11":
-        est = between(samples[0], samples[1])
-        _print_kv("value", est.value)
-        _print_kv("raw_count", est.raw_count)
-        _print_kv("normalizer", est.normalizer)
-    elif functional == "divergence":
-        q20 = within(samples[0])
-        q11 = between(samples[0], samples[1])
-        q02 = within(samples[1])
-        value = q20.value - 2.0 * q11.value + q02.value
-        if merged["clamp"] and value < 0.0:
-            value = 0.0
-        _print_kv("value", value)
-        _print_kv("q20", q20.value)
-        _print_kv("q11", q11.value)
-        _print_kv("q02", q02.value)
-    else:  # renyi2
-        est = within(samples[0])
-        if est.raw_count == 0:
-            raise UndefinedEntropyError(
-                f"no close pairs at epsilon={eps}; entropy estimate undefined"
-            )
-        _print_kv("value", -math.log(est.value))
-        _print_kv("q20", est.value)
+    kind = "q20" if functional == "q02" else functional  # q02 is q20 of the second sample
+    x = samples[-1] if functional == "q02" else samples[0]
+    y = samples[1] if two_sample else None
+    counts = count_pairs(kind, x, y, merged["epsilon"], variant, merged["gap"])
+    gap = counts.max_gap
+    _print_kv("value", evaluate(counts, kind, gap, merged["clamp"]))
+    if kind == "divergence":
+        for piece in ("q20", "q11", "q02"):
+            _print_kv(piece, estimate_piece(counts, piece, gap).value)
+    else:
+        est = estimate_piece(counts, "q11" if kind == "q11" else "q20", gap)
+        if kind == "renyi2":
+            _print_kv("q20", est.value)
         _print_kv("raw_count", est.raw_count)
         _print_kv("normalizer", est.normalizer)
     _print_kv("functional", functional)
     _print_kv("variant", variant)
     _print_kv("gap", "" if gap is None else gap)
-    _print_kv("epsilon", float(eps))
-    _print_kv("n", echo_sample.shape[0])
-    _print_kv("d", echo_sample.shape[1])
+    _print_kv("epsilon", counts.epsilon)
+    _print_kv("n", counts.n)
+    _print_kv("d", counts.d)
     return 0
 
 

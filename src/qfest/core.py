@@ -5,9 +5,12 @@ no tolerance slack).  Every implementation compares the squared distance,
 accumulated coordinate by coordinate, against epsilon**2, so the brute-force
 reference and the accelerated paths agree bit for bit on any input.
 
-Acceleration: a sorted two-pointer sweep for d=1 and a uniform hash grid with
-3**d neighbor-cell probing for d>=2.  Inputs below ``NAIVE_CUTOFF`` points go
-through the brute-force loop, where the constant factors favor it.
+Full counts take the brute-force loop below ``NAIVE_CUTOFF`` points.  Above
+it, at d = 1 one exact-window routine over sorted values gives both the
+within- and the between-count; at d >= 2 a uniform hash grid probes 3**d
+neighbor cells, and falls back to the quadratic brute force when coordinates
+overflow its integer cell resolution.  Every gap count is the full count minus
+the near-lag counts up to the gap.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Brute force below this many points; sweep/grid overheads dominate there.
+# Brute force below this many points; window/grid overheads dominate there.
 NAIVE_CUTOFF = 64
 
 # Above this |coordinate| / cell-side ratio the grid loses integer resolution
@@ -192,7 +195,7 @@ def _count_between_gap_naive(xp: np.ndarray, yp: np.ndarray, eps2: float, gap: i
 
 
 # ---------------------------------------------------------------------------
-# Shared vectorized pieces
+# Candidate-pair pieces of the grid
 # ---------------------------------------------------------------------------
 
 
@@ -225,66 +228,59 @@ def _iter_flat_ranges(lo: np.ndarray, hi: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# d = 1: sorted two-pointer sweep
+# d = 1: exact windows in a sorted sample
 # ---------------------------------------------------------------------------
 
-# Relative inflation of the searchsorted windows; the exact predicate then
-# trims or extends the boundary, so this only trades work, never correctness.
-_WINDOW_SLACK = 1.000000001
 
+def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.ndarray:
+    """One past the close run of each query ``q`` in the sorted sample ``xs``.
 
-def _extend_upper(xs: np.ndarray, centers: np.ndarray, ends: np.ndarray, eps2: float):
-    """Grow window ends while the exact predicate still holds at the boundary."""
+    The end is the first value above the query that fails ``diff*diff <= eps2``.
+    Rounding is monotone, so the predicate holds on a contiguous run of a
+    sorted array; the searchsorted guess ``q + eps`` is then grown or shrunk
+    past the values where the exact predicate disagrees with it.
+    """
     n = xs.size
+    ends = np.searchsorted(xs, q + eps, side="right")
     active = np.nonzero(ends < n)[0]
     while active.size:
-        diff = xs[ends[active]] - centers[active]
-        grow = diff * diff <= eps2
-        grown = active[grow]
-        ends[grown] += 1
-        active = grown[ends[grown] < n]
-
-
-def _extend_lower(xs: np.ndarray, centers: np.ndarray, starts: np.ndarray, eps2: float):
-    active = np.nonzero(starts > 0)[0]
+        diff = xs[ends[active]] - q[active]
+        active = active[diff * diff <= eps2]
+        ends[active] += 1
+        active = active[ends[active] < n]
+    active = np.nonzero(ends > 0)[0]
     while active.size:
-        diff = centers[active] - xs[starts[active] - 1]
-        grow = diff * diff <= eps2
-        grown = active[grow]
-        starts[grown] -= 1
-        active = grown[starts[grown] > 0]
+        last = xs[ends[active] - 1]
+        diff = last - q[active]
+        active = active[(last > q[active]) & ~(diff * diff <= eps2)]
+        ends[active] -= 1
+        active = active[ends[active] > 0]
+    return ends
 
 
-def _count_within_sweep(x: np.ndarray, eps: float, eps2: float) -> int:
+def _count_within_windows(x: np.ndarray, eps: float, eps2: float) -> int:
     xs = np.sort(x)
-    n = xs.size
-    ends = np.searchsorted(xs, xs + eps * _WINDOW_SLACK, side="right")
-    _extend_upper(xs, xs, ends, eps2)
-    lo = np.arange(1, n + 1)
-    count = 0
-    for rows, pos in _iter_flat_ranges(lo, ends):
-        diff = xs[pos] - xs[rows]
-        count += int(np.count_nonzero(diff * diff <= eps2))
-    return count
+    ends = _window_ends(xs, xs, eps, eps2)
+    return int((ends - np.arange(1, xs.size + 1)).sum())
 
 
-def _count_between_sweep(x: np.ndarray, y: np.ndarray, eps: float, eps2: float) -> int:
+def _count_between_windows(x: np.ndarray, y: np.ndarray, eps: float, eps2: float) -> int:
     xs = np.sort(x)
-    slack = eps * _WINDOW_SLACK
-    starts = np.searchsorted(xs, y - slack, side="left")
-    ends = np.searchsorted(xs, y + slack, side="right")
-    _extend_lower(xs, y, starts, eps2)
-    _extend_upper(xs, y, ends, eps2)
-    count = 0
-    for rows, pos in _iter_flat_ranges(starts, ends):
-        diff = xs[pos] - y[rows]
-        count += int(np.count_nonzero(diff * diff <= eps2))
-    return count
+    ys = np.sort(y)
+    ends = _window_ends(xs, ys, eps, eps2)
+    # starts from the mirrored problem: negation is exact, so -x and -y give
+    # the same predicate, and a window end there is n minus a start here
+    starts = xs.size - _window_ends(-xs[::-1], -ys[::-1], eps, eps2)
+    return int(ends.sum() - starts.sum())
 
 
 # ---------------------------------------------------------------------------
 # d >= 2: uniform grid with 3**d neighbor-cell probing
 # ---------------------------------------------------------------------------
+
+# Relative inflation of the cell side; the exact predicate filters candidates,
+# so this only trades work, never correctness.
+_WINDOW_SLACK = 1.000000001
 
 
 def _grid_cells(pts: np.ndarray, eps: float):
@@ -361,7 +357,7 @@ def _count_between_grid(xp: np.ndarray, yp: np.ndarray, eps: float, eps2: float)
 
 
 # ---------------------------------------------------------------------------
-# Small-lag counts used to reduce gap-restricted counting to full counting
+# Near-lag counts: a gap count is the full count minus these
 # ---------------------------------------------------------------------------
 
 
@@ -375,21 +371,23 @@ def _shifted_close_count(a: np.ndarray, b: np.ndarray, eps2: float) -> int:
     return int(np.count_nonzero(s <= eps2))
 
 
-def _near_count_within(pts: np.ndarray, eps2: float, gap: int) -> int:
-    n = pts.shape[0]
-    total = 0
-    for h in range(1, min(gap, n - 1) + 1):
-        total += _shifted_close_count(pts[h:], pts[:-h], eps2)
-    return total
+def near_lag_counts(a: np.ndarray, b: np.ndarray | None, epsilon: float, max_gap: int):
+    """Close pairs at index lag exactly h, for h = 0..max_gap, as a tuple.
 
-
-def _near_count_between(xp: np.ndarray, yp: np.ndarray, eps2: float, gap: int) -> int:
-    n = xp.shape[0]
-    total = _shifted_close_count(xp, yp, eps2)
-    for h in range(1, min(gap, n - 1) + 1):
-        total += _shifted_close_count(xp[:-h], yp[h:], eps2)
-        total += _shifted_close_count(xp[h:], yp[:-h], eps2)
-    return total
+    With ``b=None`` these are the pairs i < j of ``a`` with j - i = h (lag 0
+    holds none); otherwise the ordered cross pairs (a_i, b_j) with
+    |j - i| = h.  The samples must already be validated by ``as_points`` (and
+    ``a``, ``b`` be of equal length), the radius by the caller.
+    """
+    eps2 = epsilon * epsilon
+    lags = range(1, max_gap + 1)
+    if b is None:
+        return (0, *(_shifted_close_count(a[h:], a[:-h], eps2) for h in lags))
+    cross = (
+        _shifted_close_count(a[:-h], b[h:], eps2) + _shifted_close_count(a[h:], b[:-h], eps2)
+        for h in lags
+    )
+    return (_shifted_close_count(a, b, eps2), *cross)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +406,7 @@ def count_close_within(x, epsilon) -> int:
     if n < NAIVE_CUTOFF:
         return _count_within_naive(pts, eps2)
     if pts.shape[1] == 1:
-        return _count_within_sweep(pts[:, 0], eps, eps2)
+        return _count_within_windows(pts[:, 0], eps, eps2)
     return _count_within_grid(pts, eps, eps2)
 
 
@@ -424,7 +422,7 @@ def count_close_between(x, y, epsilon) -> int:
     if n < NAIVE_CUTOFF:
         return _count_between_naive(xp, yp, eps2)
     if xp.shape[1] == 1:
-        return _count_between_sweep(xp[:, 0], yp[:, 0], eps, eps2)
+        return _count_between_windows(xp[:, 0], yp[:, 0], eps, eps2)
     return _count_between_grid(xp, yp, eps, eps2)
 
 
@@ -432,13 +430,8 @@ def count_close_within_gap(x, epsilon, gap) -> int:
     """Close pairs i < j of ``x`` with index separation j - i > gap."""
     pts = as_points(x)
     eps = _check_radius(epsilon)
-    n = pts.shape[0]
-    g = _check_gap(gap, n)
-    eps2 = eps * eps
-    if n < NAIVE_CUTOFF:
-        return _count_within_gap_naive(pts, eps2, g)
-    full = count_close_within(pts, eps)
-    return full - _near_count_within(pts, eps2, g)
+    g = _check_gap(gap, pts.shape[0])
+    return count_close_within(pts, eps) - sum(near_lag_counts(pts, None, eps, g))
 
 
 def count_close_between_gap(x, y, epsilon, gap) -> int:
@@ -448,10 +441,5 @@ def count_close_between_gap(x, y, epsilon, gap) -> int:
     _check_same_dim(xp, yp)
     _check_equal_length(xp, yp)
     eps = _check_radius(epsilon)
-    n = xp.shape[0]
-    g = _check_gap(gap, n)
-    eps2 = eps * eps
-    if n < NAIVE_CUTOFF:
-        return _count_between_gap_naive(xp, yp, eps2, g)
-    full = count_close_between(xp, yp, eps)
-    return full - _near_count_between(xp, yp, eps2, g)
+    g = _check_gap(gap, xp.shape[0])
+    return count_close_between(xp, yp, eps) - sum(near_lag_counts(xp, yp, eps, g))

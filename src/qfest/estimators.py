@@ -11,7 +11,11 @@ The estimators turn raw close-pair counts into estimates of the integrals
 
 ``q02`` needs no code of its own: it is ``q20`` applied to the second sample.
 
-Every estimate is ``raw_count / (pair_count * ball_volume)``; the value is
+Every estimate is arithmetic on one ``PairCounts`` record, counted once per
+sample or pair by ``count_pairs``: ``evaluate`` is the one dispatch from
+(functional, gap) to a value, and each piece is
+``raw_count / (pair_count * ball_volume)``, where a gap-restricted count is
+the full count minus the near-lag counts up to the gap.  The value is
 nonnegative and may exceed 1 (it estimates an integral, not a probability).
 """
 
@@ -117,8 +121,113 @@ class AsymptoticVariance:
             )
 
 
-def _resolve_gap(gap, n: int) -> int:
-    return log_gap(n) if gap is None else int(gap)
+# The pieces each functional is computed from: q20 counts pairs within x, q02
+# within y, q11 ordered cross pairs.  The cross count goes first: it checks
+# that the two samples match before any other count is made.
+_PIECES = {
+    "q20": ("q20",),
+    "q11": ("q11",),
+    "divergence": ("q11", "q20", "q02"),
+    "renyi2": ("q20",),
+}
+_KL = {"q20": (2, 0), "q11": (1, 1), "q02": (0, 2)}
+
+
+@dataclass(frozen=True)
+class PairCounts:
+    """The close-pair counts behind every estimate on one sample or pair.
+
+    ``full[piece]`` is the complete count of ``q20`` (pairs within x), ``q02``
+    (pairs within y) or ``q11`` (ordered cross pairs).  ``near[piece][h]`` is
+    the number of those close pairs at index lag exactly h, for
+    h = 0..max_gap; ``max_gap`` is None when only complete counts were made.
+    """
+
+    n: int
+    d: int
+    epsilon: float
+    max_gap: int | None
+    full: dict[str, int]
+    near: dict[str, tuple[int, ...]]
+
+
+def count_pairs(functional, x, y, epsilon, variant="complete", gap=None) -> PairCounts:
+    """Validate the input of one estimate and count its close pairs once.
+
+    ``functional`` is q20, q11, divergence or renyi2; ``y`` is the second
+    sample of q11 and divergence.  The incomplete variant also counts the
+    near lags up to ``gap``, by default floor(log n) of the sample estimated.
+    """
+    if functional not in _PIECES:
+        raise ValueError(f"functional must be one of {tuple(_PIECES)}, got {functional!r}")
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    pieces = _PIECES[functional]
+    xp = as_points(x)
+    yp = as_points(y) if "q11" in pieces else None
+    n, d = xp.shape
+    if n < 2 and (functional != "q11" or variant == "incomplete"):
+        raise InsufficientDataError(f"need at least 2 observations, got {n}")
+    g = None
+    if variant == "incomplete":
+        g = log_gap(n) if gap is None else int(gap)
+        if g >= n - 1:
+            raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
+    eps = EstimateConfig(*_KL[pieces[0]], float(epsilon), variant, g).epsilon
+    samples = {"q20": (xp, None), "q11": (xp, yp), "q02": (yp, None)}
+    full, near = {}, {}
+    for piece in pieces:
+        a, b = samples[piece]
+        full[piece] = (
+            core.count_close_within(a, eps) if b is None else core.count_close_between(a, b, eps)
+        )
+        if g is not None:
+            near[piece] = core.near_lag_counts(a, b, eps, g)
+    return PairCounts(n, d, eps, g, full, near)
+
+
+def estimate_piece(counts: PairCounts, piece: str, gap: int | None = None) -> FunctionalEstimate:
+    """The q20, q11 or q02 estimate of a count record; gap None is the complete variant."""
+    n = counts.n
+    count = counts.full[piece]
+    if gap is None:
+        config = EstimateConfig(*_KL[piece], counts.epsilon)
+        pairs = float(n) ** 2 if piece == "q11" else math.comb(n, 2)
+    else:
+        if counts.max_gap is None or gap > counts.max_gap:
+            raise ValueError(f"no near-lag counts up to gap {gap} (counted to {counts.max_gap})")
+        config = EstimateConfig(*_KL[piece], counts.epsilon, "incomplete", gap)
+        count -= sum(counts.near[piece][: gap + 1])
+        pairs = (2 if piece == "q11" else 1) * math.comb(n - gap, 2)
+    normalizer = pairs * ball_volume(counts.d, counts.epsilon).volume
+    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+
+
+def evaluate(
+    counts: PairCounts, functional: str, gap: int | None = None, clamp_nonnegative: bool = False
+) -> float:
+    """The value of one functional on a count record; gap None is the complete variant.
+
+    ``functional`` is a piece (q20, q11, q02), ``divergence`` (q20 - 2*q11 +
+    q02, floored at zero with ``clamp_nonnegative``) or ``renyi2`` (-log q20).
+    """
+    if functional == "divergence":
+        value = (
+            estimate_piece(counts, "q20", gap).value
+            - 2.0 * estimate_piece(counts, "q11", gap).value
+            + estimate_piece(counts, "q02", gap).value
+        )
+        if clamp_nonnegative and value < 0.0:
+            return 0.0
+        return value
+    if functional == "renyi2":
+        est = estimate_piece(counts, "q20", gap)
+        if est.raw_count == 0:
+            raise UndefinedEntropyError(
+                f"no close pairs at epsilon={counts.epsilon}; entropy estimate undefined"
+            )
+        return -math.log(est.value)
+    return estimate_piece(counts, functional, gap).value
 
 
 def estimate_q20(x, epsilon) -> FunctionalEstimate:
@@ -126,14 +235,7 @@ def estimate_q20(x, epsilon) -> FunctionalEstimate:
 
     value = close_pairs_within(x, eps) / (comb(n, 2) * ball_volume).
     """
-    pts = as_points(x)
-    n = pts.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    config = EstimateConfig(k=2, l=0, epsilon=float(epsilon))
-    count = core.count_close_within(pts, config.epsilon)
-    normalizer = math.comb(n, 2) * ball_volume(pts.shape[1], config.epsilon).volume
-    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+    return estimate_piece(count_pairs("q20", x, None, epsilon), "q20")
 
 
 def estimate_q11(x, y, epsilon) -> FunctionalEstimate:
@@ -141,13 +243,7 @@ def estimate_q11(x, y, epsilon) -> FunctionalEstimate:
 
     value = close_pairs_between(x, y, eps) / (n**2 * ball_volume).
     """
-    xp = as_points(x)
-    yp = as_points(y)
-    config = EstimateConfig(k=1, l=1, epsilon=float(epsilon))
-    count = core.count_close_between(xp, yp, config.epsilon)
-    n = xp.shape[0]
-    normalizer = float(n) ** 2 * ball_volume(xp.shape[1], config.epsilon).volume
-    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+    return estimate_piece(count_pairs("q11", x, y, epsilon), "q11")
 
 
 def estimate_q20_incomplete(x, epsilon, gap=None) -> FunctionalEstimate:
@@ -156,33 +252,14 @@ def estimate_q20_incomplete(x, epsilon, gap=None) -> FunctionalEstimate:
     Only pairs with index separation j - i > gap enter; the normalizer is the
     matching pair count comb(n - gap, 2).  ``gap=None`` uses floor(log n).
     """
-    pts = as_points(x)
-    n = pts.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    g = _resolve_gap(gap, n)
-    if g >= n - 1:
-        raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
-    config = EstimateConfig(k=2, l=0, epsilon=float(epsilon), variant="incomplete", gap=g)
-    count = core.count_close_within_gap(pts, config.epsilon, g)
-    normalizer = math.comb(n - g, 2) * ball_volume(pts.shape[1], config.epsilon).volume
-    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+    counts = count_pairs("q20", x, None, epsilon, "incomplete", gap)
+    return estimate_piece(counts, "q20", counts.max_gap)
 
 
 def estimate_q11_incomplete(x, y, epsilon, gap=None) -> FunctionalEstimate:
     """Gap-restricted variant of ``estimate_q11`` over ordered pairs |j - i| > gap."""
-    xp = as_points(x)
-    yp = as_points(y)
-    n = xp.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    g = _resolve_gap(gap, n)
-    if g >= n - 1:
-        raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
-    config = EstimateConfig(k=1, l=1, epsilon=float(epsilon), variant="incomplete", gap=g)
-    count = core.count_close_between_gap(xp, yp, config.epsilon, g)
-    normalizer = 2 * math.comb(n - g, 2) * ball_volume(xp.shape[1], config.epsilon).volume
-    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+    counts = count_pairs("q11", x, y, epsilon, "incomplete", gap)
+    return estimate_piece(counts, "q11", counts.max_gap)
 
 
 def estimate_divergence(
@@ -195,34 +272,11 @@ def estimate_divergence(
     in finite samples and is reported as computed; pass
     ``clamp_nonnegative=True`` to floor it at zero.
     """
-    if variant == "complete":
-        q20 = estimate_q20(x, epsilon).value
-        q11 = estimate_q11(x, y, epsilon).value
-        q02 = estimate_q20(y, epsilon).value
-    elif variant == "incomplete":
-        n = as_points(x).shape[0]
-        g = _resolve_gap(gap, n)
-        q20 = estimate_q20_incomplete(x, epsilon, g).value
-        q11 = estimate_q11_incomplete(x, y, epsilon, g).value
-        q02 = estimate_q20_incomplete(y, epsilon, g).value
-    else:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    value = q20 - 2.0 * q11 + q02
-    if clamp_nonnegative and value < 0.0:
-        return 0.0
-    return value
+    counts = count_pairs("divergence", x, y, epsilon, variant, gap)
+    return evaluate(counts, "divergence", counts.max_gap, clamp_nonnegative)
 
 
 def estimate_renyi2(x, epsilon, variant: str = "complete", gap=None) -> float:
     """Quadratic (collision) entropy estimate, -log of the q20 estimate."""
-    if variant == "complete":
-        est = estimate_q20(x, epsilon)
-    elif variant == "incomplete":
-        est = estimate_q20_incomplete(x, epsilon, gap)
-    else:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if est.raw_count == 0:
-        raise UndefinedEntropyError(
-            f"no close pairs at epsilon={epsilon}; entropy estimate undefined"
-        )
-    return -math.log(est.value)
+    counts = count_pairs("renyi2", x, None, epsilon, variant, gap)
+    return evaluate(counts, "renyi2", counts.max_gap)

@@ -44,6 +44,14 @@ _FUNCTIONALS = ("q20", "q11", "divergence", "renyi2")
 _TWO_SAMPLE = ("q11", "divergence")
 
 
+class FailureRateError(EstimationError, RuntimeError):
+    """More than 0.1% of one estimator's replications at one n failed.
+
+    The message names the first failing replication by its (grid index,
+    replication) pair, the indices of its ``SeededStream(seed).child`` stream.
+    """
+
+
 @dataclass(frozen=True)
 class GapRule:
     """Per-n rule for the index-separation gap of incomplete estimators."""
@@ -238,27 +246,15 @@ def resolve_truth(plan: ExperimentPlan) -> float:
     return report.value_for(plan.functional)
 
 
-def _evaluate(spec: EstimatorSpec, x, y, eps: float, gap: int) -> float:
-    if spec.functional == "q20":
-        if spec.variant == "complete":
-            return est.estimate_q20(x, eps).value
-        return est.estimate_q20_incomplete(x, eps, gap).value
-    if spec.functional == "q11":
-        if spec.variant == "complete":
-            return est.estimate_q11(x, y, eps).value
-        return est.estimate_q11_incomplete(x, y, eps, gap).value
-    if spec.functional == "divergence":
-        return est.estimate_divergence(
-            x, y, eps, spec.variant, gap if spec.variant == "incomplete" else None
-        )
-    return est.estimate_renyi2(
-        x, eps, spec.variant, gap if spec.variant == "incomplete" else None
-    )
-
-
 def _eval_chunk(plan: ExperimentPlan, gi: int, n: int, eps: float, r0: int, r1: int):
-    """Evaluate replications r0..r1-1 at grid index gi; NaN marks a failure."""
-    gaps = [e.gap_rule.at(n) if e.variant == "incomplete" else 0 for e in plan.estimators]
+    """Evaluate replications r0..r1-1 at grid index gi; NaN marks a failure.
+
+    Each draw is counted once, to the largest gap any estimator asks for, and
+    every estimator is then evaluated on that one count record.
+    """
+    gaps = [e.gap_rule.at(n) if e.variant == "incomplete" else None for e in plan.estimators]
+    max_gap = max((g for g in gaps if g is not None), default=None)
+    variant = "complete" if max_gap is None else "incomplete"
     out = np.full((len(plan.estimators), r1 - r0), np.nan)
     base = SeededStream(plan.seed)
     for j, r in enumerate(range(r0, r1)):
@@ -267,22 +263,25 @@ def _eval_chunk(plan: ExperimentPlan, gi: int, n: int, eps: float, r0: int, r1: 
             x, y = paired_generate(plan.process_x, plan.process_y, n, stream)
         else:
             x, y = generate(plan.process_x, n, stream), None
-        for e_i, spec in enumerate(plan.estimators):
+        counts = est.count_pairs(plan.functional, x, y, eps, variant, max_gap)
+        for e_i, gap in enumerate(gaps):
             try:
-                out[e_i, j] = _evaluate(spec, x, y, eps, gaps[e_i])
+                out[e_i, j] = est.evaluate(counts, plan.functional, gap)
             except EstimationError:
                 pass
     return out
 
 
-def _aggregate(label: str, n: int, eps: float, gap: int, values: np.ndarray, truth: float) -> McRow:
-    ok = values[~np.isnan(values)]
-    failures = values.size - ok.size
-    if failures > 0.001 * values.size:
-        raise RuntimeError(
-            f"{failures} of {values.size} replications failed for {label} at n={n}"
+def _aggregate(
+    label: str, gi: int, n: int, eps: float, gap: int, values: np.ndarray, truth: float
+) -> McRow:
+    failed = np.flatnonzero(np.isnan(values))
+    if failed.size > 0.001 * values.size:
+        raise FailureRateError(
+            f"{failed.size} of {values.size} replications failed for {label} at n={n}; "
+            f"the first is (grid {gi}, replication {failed[0]})"
         )
-    vals = [float(v) for v in ok]
+    vals = [float(v) for v in np.delete(values, failed)]
     k = len(vals)
     mean = math.fsum(vals) / k
     sq_errs = [(v - truth) ** 2 for v in vals]
@@ -302,7 +301,7 @@ def _aggregate(label: str, n: int, eps: float, gap: int, values: np.ndarray, tru
         variance=variance,
         se_mse=sd_sq / math.sqrt(k),
         reps=k,
-        failures=failures,
+        failures=failed.size,
     )
 
 
@@ -338,7 +337,7 @@ def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
                 [parts[(gi, r0)][e_i] for r0 in range(0, plan.reps, _CHUNK_REPS)]
             )
             gap = spec.gap_rule.at(n) if spec.variant == "incomplete" else 0
-            rows.append(_aggregate(spec.label, n, eps_at[n], gap, values, truth))
+            rows.append(_aggregate(spec.label, gi, n, eps_at[n], gap, values, truth))
     # every built-in process emits scalar observations
     return McResult(
         rows=tuple(rows), process=plan.process_label, d=1, seed=plan.seed, truth=truth

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfest.cli import main, parse_process
-from qfest.estimators import estimate_q20
+from qfest.estimators import estimate_q20, estimate_q20_incomplete
 from qfest.montecarlo import CSV_HEADER
 from qfest.processes import GaussianMA, MinExp, SeededStream, generate
 
@@ -265,3 +265,60 @@ class TestGapEcho:
         )
         assert code == 0
         assert _kv(capsys)["gap"] == "5"  # floor(log 150)
+
+
+class TestEstimateInput:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_is_input_error(self, tmp_path, capsys, token):
+        path = tmp_path / "x.csv"
+        path.write_text(f"0.0\n{token}\n1.0\n")
+        code = main(["estimate", str(path), "--functional", "q20", "--epsilon", "1"])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_ragged_row_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("0.0,1.0\n2.0,3.0\n4.0\n")
+        code = main(["estimate", str(path), "--functional", "q20", "--epsilon", "1"])
+        assert code == 2
+        assert "ragged.csv:3" in capsys.readouterr().err
+
+    def test_divergence_unequal_lengths_is_input_error(self, tmp_path, capsys):
+        a = _write_sample(tmp_path, "a.csv", [0.0, 1.0, 2.0])
+        b = _write_sample(tmp_path, "b.csv", [0.0, 1.0])
+        code = main(["estimate", a, b, "--functional", "divergence", "--epsilon", "1"])
+        assert code == 2
+        assert "equal lengths" in capsys.readouterr().err
+
+    def test_q11_needs_two_files(self, tmp_path, capsys):
+        a = _write_sample(tmp_path, "a.csv", [0.0, 1.0, 2.0])
+        code = main(["estimate", a, "--functional", "q11", "--epsilon", "1"])
+        assert code == 2
+        assert "needs two input files" in capsys.readouterr().err
+
+    def test_q02_default_gap_comes_from_second_file(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        a = _write_sample(tmp_path, "a.csv", rng.normal(size=50))
+        b_values = rng.normal(size=3000)
+        b = _write_sample(tmp_path, "b.csv", b_values)
+        code = main(["estimate", a, b, "--functional", "q02", "--epsilon", "0.05",
+                     "--variant", "incomplete"])
+        assert code == 0
+        pairs = _kv(capsys)
+        want = estimate_q20_incomplete(b_values, 0.05)
+        assert pairs["gap"] == str(want.config.gap) == "8"  # floor(log 3000)
+        assert pairs["value"] == repr(want.value)
+        assert pairs["n"] == "3000"
+
+
+class TestSimulateAbort:
+    def test_failure_rate_abort_is_computation_error(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--process-x", "iid:base=normal", "--functional", "renyi2",
+             "--c", "1e-12", "--n-grid", "20,40,80", "--reps", "4",
+             "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "replications failed" in err
+        assert "(grid 0, replication 0)" in err

@@ -299,3 +299,95 @@ class TestCountProperties:
         x = rng.normal(size=100)
         perm = rng.permutation(100)
         assert count_close_within(x, 0.3) == count_close_within(x[perm], 0.3)
+
+
+def _adversarial_d1(kind, n, rng):
+    """A d = 1 pair (x, y) and radius that stress the exact-window boundaries."""
+    if kind == "duplicates":
+        x = rng.integers(0, 4, size=n).astype(float)
+        y = rng.integers(0, 4, size=n).astype(float)
+        return x, y, 1.0
+    if kind == "zero-radius":
+        x = np.round(rng.normal(size=n) * 3) / 3
+        y = np.round(rng.normal(size=n) * 3) / 3
+        return x, y, 0.0
+    if kind == "offset-1e12":
+        scale = 1e12 * 10.0 ** float(rng.uniform(-3, 3))
+        ulp = np.spacing(scale)
+        x = scale + rng.integers(0, 40, size=n) * ulp
+        y = scale + rng.integers(0, 40, size=n) * ulp
+        # a fractional ulp radius makes q + eps round past the exact boundary
+        return x, y, (int(rng.integers(0, 6)) + float(rng.choice([0.0, 0.5, 0.6]))) * ulp
+    # radius equal to an attained distance, so pairs sit exactly on the sphere
+    x = rng.normal(size=n)
+    y = rng.normal(size=n)
+    return x, y, abs(float(x[0] - y[-1]))
+
+
+class TestExactWindows:
+    """The d = 1 window routine against the brute-force loops, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind,seed",
+        [("duplicates", 41), ("zero-radius", 42), ("offset-1e12", 43), ("on-sphere", 44)],
+    )
+    def test_matches_naive(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 260))
+            x, y, eps = _adversarial_d1(kind, n, rng)
+            eps2 = eps * eps
+            xp, yp = as_points(x), as_points(y)
+            assert core._count_within_windows(x, eps, eps2) == core._count_within_naive(xp, eps2)
+            assert core._count_between_windows(x, y, eps, eps2) == core._count_between_naive(
+                xp, yp, eps2
+            )
+            if n >= core.NAIVE_CUTOFF:
+                assert count_close_within(x, eps) == _naive_within(x, eps)
+                assert count_close_between(x, y, eps) == _naive_between(x, y, eps)
+
+    def test_sphere_pairs_are_counted(self):
+        # every consecutive pair of an evenly spaced grid sits exactly at eps
+        x = np.arange(100.0) * 0.25
+        assert count_close_within(x, 0.25) == 99
+        # y_j - x_i = 0.25 * (j - i + 1): close for j - i in {-2, -1, 0}
+        assert count_close_between(x, x + 0.25, 0.25) == 98 + 99 + 100
+
+
+def _identity_instances():
+    rng = np.random.default_rng(2031)
+    for d in (1, 2):
+        for n in (40, 150):
+            x = rng.normal(size=(n, d))
+            y = rng.normal(size=(n, d)) + 0.3
+            yield x, y, 0.6 if d == 2 else 0.2
+
+
+class TestGapIdentities:
+    def test_gap_counts_non_increasing(self):
+        for x, y, eps in _identity_instances():
+            within = [count_close_within_gap(x, eps, g) for g in range(12)]
+            between = [count_close_between_gap(x, y, eps, g) for g in range(12)]
+            assert all(a >= b for a, b in zip(within, within[1:]))
+            assert all(a >= b for a, b in zip(between, between[1:]))
+
+    def test_full_minus_near_lags_is_gap_count(self):
+        for x, y, eps in _identity_instances():
+            near_w = core.near_lag_counts(as_points(x), None, eps, 10)
+            near_b = core.near_lag_counts(as_points(x), as_points(y), eps, 10)
+            full_w = count_close_within(x, eps)
+            full_b = count_close_between(x, y, eps)
+            for g in range(11):
+                assert full_w - sum(near_w[: g + 1]) == _naive_within(x, eps, g)
+                assert full_b - sum(near_b[: g + 1]) == _naive_between(x, y, eps, g)
+
+    def test_complete_counts_ignore_time_order(self):
+        rng = np.random.default_rng(2032)
+        for x, y, eps in _identity_instances():
+            within = count_close_within(x, eps)
+            between = count_close_between(x, y, eps)
+            px, py = rng.permutation(len(x)), rng.permutation(len(y))
+            assert count_close_within(x[::-1], eps) == within
+            assert count_close_within(x[px], eps) == within
+            assert count_close_between(x[::-1], y[::-1], eps) == between
+            assert count_close_between(x[px], y[py], eps) == between

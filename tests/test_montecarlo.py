@@ -4,7 +4,10 @@ import math
 
 import pytest
 
+from qfest import core
+from qfest import montecarlo as mc
 from qfest.bandwidth import EpsilonSchedule
+from qfest.estimators import EstimationError, estimate_divergence, log_gap
 from qfest.montecarlo import (
     CSV_HEADER,
     EstimatorSpec,
@@ -22,7 +25,14 @@ from qfest.montecarlo import (
     run,
     write_csv,
 )
-from qfest.processes import GaussianMA, Iid, NormalMarginal, UniformMarginal
+from qfest.processes import (
+    GaussianMA,
+    Iid,
+    NormalMarginal,
+    SeededStream,
+    UniformMarginal,
+    paired_generate,
+)
 
 SQ3 = math.sqrt(3.0)
 T1REG = EpsilonSchedule("thm1iii", d=1, alpha=1.0, c=1.0)
@@ -289,3 +299,61 @@ class TestCsv:
         assert len(lines) == 4
         first = [float(tok) for tok in lines[1].split(",")]
         assert first[0] == pytest.approx(math.log(50.0), rel=1e-12)
+
+
+def _fig1_plan(reps=3):
+    return ExperimentPlan(
+        process_x=GaussianMA(taps=(1 / SQ3,) * 3),
+        process_y=GaussianMA(taps=(0.5, -0.5, 0.5), shift=1.0),
+        estimators=(
+            EstimatorSpec("divergence"),
+            EstimatorSpec("divergence", "incomplete", GapRule.log()),
+        ),
+        schedule=T1REG,
+        ns=(100, 400),
+        reps=reps,
+        seed=0,
+    )
+
+
+class TestCountOnce:
+    def test_harness_values_equal_library_estimates(self):
+        plan = _fig1_plan()
+        base = SeededStream(plan.seed)
+        for gi, n in enumerate(plan.ns):
+            eps = plan.schedule.epsilon_at(n)
+            values = mc._eval_chunk(plan, gi, n, eps, 0, plan.reps)
+            for r in range(plan.reps):
+                x, y = paired_generate(plan.process_x, plan.process_y, n, base.child(gi, r))
+                assert values[0, r] == estimate_divergence(x, y, eps)
+                assert values[1, r] == estimate_divergence(x, y, eps, "incomplete", log_gap(n))
+
+    def test_each_draw_is_counted_once(self, monkeypatch):
+        calls = []
+
+        def recorded(name):
+            func = getattr(core, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return func(*args)
+
+            return wrapper
+
+        for name in ("count_close_within", "count_close_between"):
+            monkeypatch.setattr(core, name, recorded(name))
+        plan = _fig1_plan(reps=4)
+        mc._eval_chunk(plan, 0, 100, plan.schedule.epsilon_at(100), 0, plan.reps)
+        assert calls.count("count_close_within") == 2 * plan.reps
+        assert calls.count("count_close_between") == plan.reps
+
+    def test_failure_rate_error_names_first_stream(self):
+        plan = _iid_q20_plan(
+            estimators=(EstimatorSpec("renyi2"),),
+            schedule=EpsilonSchedule("thm1ii", d=1, alpha=0.25, c=1e-12),
+            ns=(10, 20),
+            reps=10,
+            truth_override=1.0,
+        )
+        with pytest.raises(EstimationError, match=r"\(grid 0, replication 0\)"):
+            run(plan)
