@@ -27,6 +27,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,11 +59,6 @@ from .processes import (
     UniformMarginal,
     generate,
 )
-
-
-class _ExitWith(Exception):
-    def __init__(self, code: int):
-        self.code = code
 
 
 class _InputError(Exception):
@@ -338,6 +334,21 @@ def _parse_estimator_tokens(text: str, functional: str) -> tuple[EstimatorSpec, 
 
 
 def _read_sample(path: str) -> np.ndarray:
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below, as "no observations found"
+            warnings.simplefilter("ignore", UserWarning)
+            sample = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+    except (OSError, ValueError):
+        # the line parser reports the error with its line, or accepts what
+        # float() takes and loadtxt does not (such as "1_5" or blank lines)
+        return _read_sample_lines(path)
+    if sample.size == 0:
+        raise _InputError(f"{path}: no observations found")
+    return sample
+
+
+def _read_sample_lines(path: str) -> np.ndarray:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -7,10 +7,15 @@ reference and the accelerated paths agree bit for bit on any input.
 
 Full counts take the brute-force loop below ``NAIVE_CUTOFF`` points.  Above
 it, at d = 1 one exact-window routine over sorted values gives both the
-within- and the between-count; at d >= 2 a uniform hash grid probes 3**d
-neighbor cells, and falls back to the quadratic brute force when coordinates
-overflow its integer cell resolution.  Every gap count is the full count minus
-the near-lag counts up to the gap.
+within- and the between-count.  At d >= 2 a strip grid (the cell method of
+Bentley, Stanat and Williams, 1977) sorts the points by a key of compressed
+integer cells, so the candidates of a point in each of its 3**(d-1) neighbour
+strips form one contiguous range; within-counts take each pair from one side
+only.  Where no cell can be formed (a zero radius, coordinates beyond the
+cells' integer resolution, or a key wider than 64 bits), an exact sweep takes
+the 1-D windows of the coordinate with the fewest 1-D close pairs.  Every
+candidate is checked with the full predicate.  Every gap count is the full
+count minus the near-lag counts up to the gap.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import numpy as np
 # Brute force below this many points; window/grid overheads dominate there.
 NAIVE_CUTOFF = 64
 
-# Above this |coordinate| / cell-side ratio the grid loses integer resolution
-# (and the superset windows get slow); hand such inputs to the brute force.
+# Above this |coordinate| / cell-side ratio the grid loses integer resolution;
+# such inputs take the one-coordinate sweep.
 _MAX_CELL_COORD = 2.0**52
 
 # Flattened candidate-pair buffers are processed in chunks of this many pairs.
@@ -195,22 +200,16 @@ def _count_between_gap_naive(xp: np.ndarray, yp: np.ndarray, eps2: float, gap: i
 
 
 # ---------------------------------------------------------------------------
-# Candidate-pair pieces of the grid
+# Exact checks of candidate ranges
 # ---------------------------------------------------------------------------
 
 
-def _sq_dists_indexed(a: np.ndarray, ai: np.ndarray, b: np.ndarray, bi: np.ndarray):
-    """Squared distances between a[ai] and b[bi], coordinate-accumulated."""
-    diff = a[ai, 0] - b[bi, 0]
-    s = diff * diff
-    for k in range(1, a.shape[1]):
-        diff = a[ai, k] - b[bi, k]
-        s = s + diff * diff
-    return s
-
-
 def _iter_flat_ranges(lo: np.ndarray, hi: np.ndarray):
-    """Flatten per-row candidate ranges [lo_i, hi_i) into (row, position) chunks."""
+    """Flatten per-row candidate ranges [lo_i, hi_i) into chunks of pairs.
+
+    Each chunk is (rows, lens, pos): a slice of rows, the length of each of
+    their ranges, and the candidate positions of those ranges, row after row.
+    """
     lens = np.maximum(hi - lo, 0)
     csum = np.concatenate(([0], np.cumsum(lens)))
     n = len(lens)
@@ -221,10 +220,39 @@ def _iter_flat_ranges(lo: np.ndarray, hi: np.ndarray):
         m = int(csum[stop] - csum[start])
         if m:
             reps = lens[start:stop]
-            rows = np.repeat(np.arange(start, stop), reps)
-            offsets = np.arange(m) - np.repeat(csum[start:stop] - csum[start], reps)
-            yield rows, offsets + np.repeat(lo[start:stop], reps)
+            first = lo[start:stop] - (csum[start:stop] - csum[start])
+            yield slice(start, stop), reps, np.arange(m) + np.repeat(first, reps)
         start = stop
+
+
+def _columns(pts: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The rows ``order`` of ``pts`` as contiguous coordinate columns, shape (d, n)."""
+    return np.ascontiguousarray(pts.T[:, order])
+
+
+def _close_in_ranges(
+    a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps2: float
+) -> int:
+    """Close pairs (a_i, b_j) over j in [lo_i, hi_i), each checked exactly.
+
+    ``a`` and ``b`` hold one coordinate per row, shape (d, n).  The squared
+    distance of a_i - b_j is accumulated coordinate by coordinate, as in the
+    brute force.
+    """
+    count = 0
+    for rows, reps, pos in _iter_flat_ranges(lo, hi):
+        s = None
+        for ak, bk in zip(a, b):
+            # in place, with the rounding of s + (a - b) * (a - b)
+            diff = np.repeat(ak[rows], reps)
+            diff -= bk[pos]
+            diff *= diff
+            if s is None:
+                s = diff
+            else:
+                s += diff
+        count += int(np.count_nonzero(s <= eps2))
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +286,15 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     return ends
 
 
+def _window_bounds(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float):
+    """The close run [start, end) of each query of the sorted ``qs`` in the sorted ``xs``."""
+    ends = _window_ends(xs, qs, eps, eps2)
+    # starts from the mirrored problem: negation is exact, so -x and -q give
+    # the same predicate, and a window end there is n minus a start here
+    starts = xs.size - _window_ends(-xs[::-1], -qs[::-1], eps, eps2)[::-1]
+    return starts, ends
+
+
 def _count_within_windows(x: np.ndarray, eps: float, eps2: float) -> int:
     xs = np.sort(x)
     ends = _window_ends(xs, xs, eps, eps2)
@@ -265,17 +302,12 @@ def _count_within_windows(x: np.ndarray, eps: float, eps2: float) -> int:
 
 
 def _count_between_windows(x: np.ndarray, y: np.ndarray, eps: float, eps2: float) -> int:
-    xs = np.sort(x)
-    ys = np.sort(y)
-    ends = _window_ends(xs, ys, eps, eps2)
-    # starts from the mirrored problem: negation is exact, so -x and -y give
-    # the same predicate, and a window end there is n minus a start here
-    starts = xs.size - _window_ends(-xs[::-1], -ys[::-1], eps, eps2)
+    starts, ends = _window_bounds(np.sort(x), np.sort(y), eps, eps2)
     return int(ends.sum() - starts.sum())
 
 
 # ---------------------------------------------------------------------------
-# d >= 2: uniform grid with 3**d neighbor-cell probing
+# d >= 2: strip grid, and an exact one-coordinate sweep where no cell fits
 # ---------------------------------------------------------------------------
 
 # Relative inflation of the cell side; the exact predicate filters candidates,
@@ -295,65 +327,148 @@ def _grid_cells(pts: np.ndarray, eps: float):
     return np.floor(q).astype(np.int64)
 
 
-def _cell_keys(cells: np.ndarray) -> np.ndarray:
-    key = np.zeros(cells.shape[0], dtype=np.uint64)
-    for k in range(cells.shape[1]):
-        key = key * np.uint64(0x9E3779B97F4A7C15) + cells[:, k].astype(np.uint64)
-        key ^= key >> np.uint64(29)
-    return key
+def _strip_keys(eps: float, *samples: np.ndarray):
+    """Strip-grid keys of each sample's points, and the key stride of each dimension.
 
-
-def _probe_count(
-    pts_a: np.ndarray,
-    cells_a: np.ndarray,
-    pts_b: np.ndarray,
-    cells_b: np.ndarray,
-    eps2: float,
-    exclude_self: bool,
-) -> int:
-    """Ordered close pairs (a_i, b_j) with cells within one step per coordinate.
-
-    A candidate also has to sit in the exact probed cell (hash collisions are
-    filtered), so each ordered pair is counted exactly once.
+    The samples share one lattice of cells of side just above ``eps``.  Along
+    each dimension the occupied cells get compressed ranks: adjacent cells
+    stay one rank apart, any wider jump becomes two, and ranks start at 1 with
+    one spare rank past the last, so a step of one rank in any dimension
+    reaches only the cell it should.  The keys are mixed-radix with the last
+    dimension fastest, so sorted keys lay the points out as strips along the
+    last dimension.  Returns None when a cell cannot be formed or a key would
+    not fit in an int64.
     """
-    keys_b = _cell_keys(cells_b)
-    order = np.argsort(keys_b, kind="stable")
-    sorted_keys = keys_b[order]
-    d = pts_a.shape[1]
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)), dtype=np.int64)
-    count = 0
-    for off in offsets:
-        probe = _cell_keys(cells_a + off)
-        lo = np.searchsorted(sorted_keys, probe, side="left")
-        hi = np.searchsorted(sorted_keys, probe, side="right")
-        for rows, pos in _iter_flat_ranges(lo, hi):
-            cand = order[pos]
-            ok = (cells_b[cand] == cells_a[rows] + off).all(axis=1)
-            if exclude_self:
-                ok &= cand != rows
-            if not ok.any():
-                continue
-            rows = rows[ok]
-            cand = cand[ok]
-            s = _sq_dists_indexed(pts_a, rows, pts_b, cand)
-            count += int(np.count_nonzero(s <= eps2))
+    cells = [_grid_cells(pts, eps) for pts in samples]
+    if any(c is None for c in cells):
+        return None
+    stacked = np.concatenate(cells)
+    keys = np.zeros(stacked.shape[0], dtype=np.int64)
+    strides: list[int] = []
+    span = 1
+    for column in stacked.T:
+        occupied, inverse = np.unique(column, return_inverse=True)
+        steps = np.where(np.diff(occupied) == 1, 1, 2)
+        ranks = np.concatenate(([1], 1 + np.cumsum(steps)))
+        width = int(ranks[-1]) + 2
+        span *= width
+        if span > np.iinfo(np.int64).max:
+            return None
+        keys = keys * width + ranks[inverse]
+        strides = [s * width for s in strides] + [1]
+    split = np.cumsum([len(c) for c in cells])[:-1]
+    return np.split(keys, split), strides
+
+
+def _strip_offsets(strides: list[int]) -> list[int]:
+    """Key offsets of the 3**(d-1) strips around a strip, in lexicographic order.
+
+    The middle one is the strip itself; the ones after it are the
+    lexicographically positive offsets, one of each +-pair.
+    """
+    steps = itertools.product((-1, 0, 1), repeat=len(strides) - 1)
+    return [sum(o * s for o, s in zip(step, strides)) for step in steps]
+
+
+def _strip_range(keys: np.ndarray, probe: np.ndarray):
+    """Positions of the sorted ``keys`` within one cell of ``probe`` in the last dimension."""
+    return (
+        np.searchsorted(keys, probe - 1, side="left"),
+        np.searchsorted(keys, probe + 1, side="right"),
+    )
+
+
+def _count_within_strips(
+    pts: np.ndarray, keys: np.ndarray, strides: list[int], eps2: float
+) -> int:
+    """Pairs i < j in neighbouring cells, each pair found from one side only.
+
+    In the query's own strip only the later positions j > i are taken; of the
+    other strips only the lexicographically positive offsets.
+    """
+    order = np.argsort(keys)
+    keys = keys[order]
+    cols = _columns(pts, order)
+    offsets = _strip_offsets(strides)
+    half = len(offsets) // 2
+    _, hi = _strip_range(keys, keys)
+    count = _close_in_ranges(cols, cols, np.arange(1, keys.size + 1), hi, eps2)
+    for off in offsets[half + 1 :]:
+        lo, hi = _strip_range(keys, keys + off)
+        count += _close_in_ranges(cols, cols, lo, hi, eps2)
     return count
 
 
+def _count_between_strips(
+    xp: np.ndarray, kx: np.ndarray, yp: np.ndarray, ky: np.ndarray, strides: list[int], eps2: float
+) -> int:
+    """Ordered pairs (x_i, y_j) in neighbouring cells, over all 3**(d-1) strips."""
+    ox = np.argsort(kx)
+    oy = np.argsort(ky)
+    xcols, ycols = _columns(xp, ox), _columns(yp, oy)
+    kx, ky = kx[ox], ky[oy]
+    count = 0
+    for off in _strip_offsets(strides):
+        lo, hi = _strip_range(ky, kx + off)
+        count += _close_in_ranges(xcols, ycols, lo, hi, eps2)
+    return count
+
+
+# A close pair is also close in each coordinate on its own: the squared
+# distance is a float sum of non-negative terms, and rounding is monotone, so
+# it is never below any one term.  The sweep takes the exact 1-D windows of
+# the coordinate with the fewest 1-D close pairs and checks each candidate in
+# full.
+
+
+def _count_within_sweep(pts: np.ndarray, eps: float, eps2: float) -> int:
+    after = np.arange(1, pts.shape[0] + 1)
+    best = None
+    for column in pts.T:
+        order = np.argsort(column)
+        xs = column[order]
+        ends = _window_ends(xs, xs, eps, eps2)
+        found = int((ends - after).sum())
+        if best is None or found < best[0]:
+            best = (found, order, ends)
+    _, order, ends = best
+    cols = _columns(pts, order)
+    return _close_in_ranges(cols, cols, after, ends, eps2)
+
+
+def _count_between_sweep(xp: np.ndarray, yp: np.ndarray, eps: float, eps2: float) -> int:
+    best = None
+    for k in range(xp.shape[1]):
+        ox = np.argsort(xp[:, k])
+        oy = np.argsort(yp[:, k])
+        starts, ends = _window_bounds(yp[oy, k], xp[ox, k], eps, eps2)
+        found = int(ends.sum() - starts.sum())
+        if best is None or found < best[0]:
+            best = (found, ox, oy, starts, ends)
+    _, ox, oy, starts, ends = best
+    return _close_in_ranges(_columns(xp, ox), _columns(yp, oy), starts, ends, eps2)
+
+
+# Squares of huge differences overflow to inf and compare as not close, as in
+# the brute force; the overflow is expected, so it is not warned about.
+
+
+@np.errstate(over="ignore")
 def _count_within_grid(pts: np.ndarray, eps: float, eps2: float) -> int:
-    cells = _grid_cells(pts, eps)
-    if cells is None:
-        return _count_within_naive(pts, eps2)
-    ordered = _probe_count(pts, cells, pts, cells, eps2, exclude_self=True)
-    return ordered // 2
+    strips = _strip_keys(eps, pts)
+    if strips is None:
+        return _count_within_sweep(pts, eps, eps2)
+    (keys,), strides = strips
+    return _count_within_strips(pts, keys, strides, eps2)
 
 
+@np.errstate(over="ignore")
 def _count_between_grid(xp: np.ndarray, yp: np.ndarray, eps: float, eps2: float) -> int:
-    cells_x = _grid_cells(xp, eps)
-    cells_y = _grid_cells(yp, eps)
-    if cells_x is None or cells_y is None:
-        return _count_between_naive(xp, yp, eps2)
-    return _probe_count(xp, cells_x, yp, cells_y, eps2, exclude_self=False)
+    strips = _strip_keys(eps, xp, yp)
+    if strips is None:
+        return _count_between_sweep(xp, yp, eps, eps2)
+    (kx, ky), strides = strips
+    return _count_between_strips(xp, kx, yp, ky, strides, eps2)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,10 @@ class FailureRateError(EstimationError, RuntimeError):
     """More than 0.1% of one estimator's replications at one n failed.
 
     The message names the first failing replication by its (grid index,
-    replication) pair, the indices of its ``SeededStream(seed).child`` stream.
+    replication) pair, the indices of its ``SeededStream(seed).child`` stream,
+    and gives the 64-bit stream id of each sample drawn for it (the
+    ``.child(0)`` and ``.child(1)`` substreams of a paired draw), as
+    ``qfest generate --seed S --stream ID`` takes them.
     """
 
 
@@ -272,14 +275,27 @@ def _eval_chunk(plan: ExperimentPlan, gi: int, n: int, eps: float, r0: int, r1: 
     return out
 
 
+def _draw_streams(plan: ExperimentPlan, gi: int, r: int) -> str:
+    """The stream ids of the samples of replication r at grid index gi."""
+    stream = SeededStream(plan.seed).child(gi, r)
+    if plan.process_y is None:
+        return f"seed {plan.seed} stream {stream.stream}"
+    return (
+        f"seed {plan.seed} streams {stream.child(0).stream} (x) "
+        f"and {stream.child(1).stream} (y)"
+    )
+
+
 def _aggregate(
-    label: str, gi: int, n: int, eps: float, gap: int, values: np.ndarray, truth: float
+    plan: ExperimentPlan, label: str, gi: int, n: int, eps: float, gap: int,
+    values: np.ndarray, truth: float,
 ) -> McRow:
     failed = np.flatnonzero(np.isnan(values))
     if failed.size > 0.001 * values.size:
         raise FailureRateError(
             f"{failed.size} of {values.size} replications failed for {label} at n={n}; "
-            f"the first is (grid {gi}, replication {failed[0]})"
+            f"the first is (grid {gi}, replication {failed[0]}), drawn from "
+            f"{_draw_streams(plan, gi, int(failed[0]))}"
         )
     vals = [float(v) for v in np.delete(values, failed)]
     k = len(vals)
@@ -337,7 +353,7 @@ def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
                 [parts[(gi, r0)][e_i] for r0 in range(0, plan.reps, _CHUNK_REPS)]
             )
             gap = spec.gap_rule.at(n) if spec.variant == "incomplete" else 0
-            rows.append(_aggregate(spec.label, gi, n, eps_at[n], gap, values, truth))
+            rows.append(_aggregate(plan, spec.label, gi, n, eps_at[n], gap, values, truth))
     # every built-in process emits scalar observations
     return McResult(
         rows=tuple(rows), process=plan.process_label, d=1, seed=plan.seed, truth=truth

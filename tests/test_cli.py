@@ -283,6 +283,34 @@ class TestEstimateInput:
         assert code == 2
         assert "ragged.csv:3" in capsys.readouterr().err
 
+    def test_comment_line_is_a_parse_error_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "hash.csv"
+        path.write_text("0.0,1.0\n# a note\n2.0,3.0\n")
+        code = main(["estimate", str(path), "--functional", "q20", "--epsilon", "1"])
+        assert code == 2
+        assert "hash.csv:2" in capsys.readouterr().err
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n0.0,1.0\n\n   \n0.5,1.0\n\n")
+        assert main(["estimate", str(path), "--functional", "q20", "--epsilon", "1"]) == 0
+        pairs = _kv(capsys)
+        assert (pairs["n"], pairs["d"], pairs["raw_count"]) == ("2", "2", "1")
+
+    @pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
+    def test_file_without_rows_has_no_observations(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        code = main(["estimate", str(path), "--functional", "q20", "--epsilon", "1"])
+        assert code == 2
+        assert "empty.csv: no observations found" in capsys.readouterr().err
+
+    def test_underscore_digits_parse_as_python_floats(self, tmp_path, capsys):
+        path = tmp_path / "digits.csv"
+        path.write_text("1_5,0\n15,0.5\n")
+        assert main(["estimate", str(path), "--functional", "q20", "--epsilon", "0.5"]) == 0
+        assert _kv(capsys)["raw_count"] == "1"
+
     def test_divergence_unequal_lengths_is_input_error(self, tmp_path, capsys):
         a = _write_sample(tmp_path, "a.csv", [0.0, 1.0, 2.0])
         b = _write_sample(tmp_path, "b.csv", [0.0, 1.0])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfest import core
+from qfest import core, oracle
 from qfest.core import (
     BallVolume,
     as_points,
@@ -233,7 +233,7 @@ class TestDispatchMatchesNaive:
 @given(
     data=st.data(),
     n=st.integers(min_value=64, max_value=180),
-    d=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=1, max_value=4),
     eps=st.floats(min_value=0.0, max_value=6.0),
 )
 def test_property_within_equals_naive(data, n, d, eps):
@@ -352,6 +352,114 @@ class TestExactWindows:
         assert count_close_within(x, 0.25) == 99
         # y_j - x_i = 0.25 * (j - i + 1): close for j - i in {-2, -1, 0}
         assert count_close_between(x, x + 0.25, 0.25) == 98 + 99 + 100
+
+
+def _oracle_counts(x, y, eps):
+    """Brute-force within-count of x and between-count of (x, y).
+
+    They are the ``oracle.naive_*`` raw counts; those need a positive radius,
+    so a zero radius takes the brute-force loops of ``core``.
+    """
+    if eps > 0.0:
+        return oracle.naive_q20(x, eps).raw_count, oracle.naive_q11(x, y, eps).raw_count
+    return _naive_within(x, eps), _naive_between(x, y, eps)
+
+
+def _clustered(rng, n, d, spread):
+    """Points of the given spread, a fifth of them within 0.6 per coordinate of another."""
+    centres = rng.normal(size=(n - n // 5, d)) * spread
+    partners = centres[: n // 5] + rng.uniform(-0.6, 0.6, size=(n // 5, d))
+    return np.concatenate([centres, partners])
+
+
+def _adversarial_grid(kind, d, n, rng):
+    """A d >= 2 pair (x, y) and radius for the strip grid and its sweep."""
+    if kind == "gaussian":
+        shift = rng.uniform(-0.5, 0.5, size=d)
+        x, y = rng.normal(size=(2, n, d))
+        return x, y + shift, math.log(n) * n ** (-1 / d)
+    if kind == "duplicates":
+        # radii equal to distances of the integer lattice, so pairs sit on the sphere
+        x = rng.integers(0, 4, size=(n, d)).astype(float)
+        y = rng.integers(0, 4, size=(n, d)).astype(float)
+        return x, y, float(rng.choice([1.0, math.sqrt(2.0), 2.0, math.sqrt(d)]))
+    if kind == "translated":
+        # |x| / eps > 2**52: the cells lose integer resolution
+        x, y = rng.normal(size=(2, n, d)) * 0.5 + 1e15
+        return x, y, 0.2
+    if kind == "cauchy":
+        x, y = rng.standard_cauchy(size=(2, n, d))
+        return x, y, math.log(n) * n ** (-1 / d) / 2
+    if kind == "zero-radius":
+        # (1e-170)**2 underflows to 0.0, so distinct points can be close at
+        # eps = 0; 1 + 1e-170 == 1, so the lattice is {0, 1e-170, 2e-170, 1}
+        x, y = rng.integers(0, 3, size=(2, n, d)) * 1e-170 + rng.integers(0, 2, size=(2, n, d))
+        return x, y, 0.0
+    # about 1e7 cells per coordinate: an uncompressed cell key spans (2e7)**d
+    # values, past an int64 at d >= 3
+    x = _clustered(rng, n, d, 1e7)
+    y = x[rng.permutation(n)] + rng.uniform(-0.6, 0.6, size=(n, d))
+    return x, y, 1.0
+
+
+GRID_KINDS = ("gaussian", "duplicates", "translated", "cauchy", "zero-radius", "wide")
+
+
+class TestStripGrid:
+    """The d >= 2 strip grid and its sweep against the brute force, bit for bit."""
+
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_oracle(self, kind, d):
+        rng = np.random.default_rng([d, GRID_KINDS.index(kind)])
+        for _ in range(4):
+            n = int(rng.integers(core.NAIVE_CUTOFF, 400))
+            x, y, eps = _adversarial_grid(kind, d, n, rng)
+            want = _oracle_counts(x, y, eps)
+            assert (count_close_within(x, eps), count_close_between(x, y, eps)) == want
+
+    @pytest.mark.parametrize(
+        "kind,d", [("gaussian", 2), ("gaussian", 3), ("gaussian", 4), ("translated", 2)]
+    )
+    def test_matches_oracle_at_ten_thousand_points(self, kind, d):
+        rng = np.random.default_rng([d, 10_000, GRID_KINDS.index(kind)])
+        x, y, eps = _adversarial_grid(kind, d, 10_000, rng)
+        want = _oracle_counts(x, y, eps)
+        assert (count_close_within(x, eps), count_close_between(x, y, eps)) == want
+
+
+def _guarded_inputs():
+    """d >= 2 inputs of at least NAIVE_CUTOFF points, and whether a strip grid holds them."""
+    rng = np.random.default_rng(2040)
+    n = 2 * core.NAIVE_CUTOFF
+    x, y, eps = _adversarial_grid("wide", 3, n, rng)
+    yield "strip grid", x, y, eps, True
+    zero = rng.integers(0, 3, size=(2, n, 2)) * 1e-170
+    yield "zero radius", zero[0], zero[1], 0.0, False
+    shifted = rng.normal(size=(2, n, 3)) + 1e15
+    yield "cell resolution", shifted[0], shifted[1], 0.2, False
+    # compressed ranks up to about 2n per coordinate: (2n)**6 passes an int64
+    wide = _clustered(rng, 1000, 6, 1e7)
+    yield "key width", wide, wide[::-1] + 0.25, 1.0, False
+
+
+class TestNoQuadraticFallback:
+    """No d >= 2 count of NAIVE_CUTOFF or more points runs the brute-force loops."""
+
+    @pytest.mark.parametrize(
+        "label,x,y,eps,fits", [pytest.param(*case, id=case[0]) for case in _guarded_inputs()]
+    )
+    def test_never_calls_the_brute_force(self, monkeypatch, label, x, y, eps, fits):
+        want = _oracle_counts(x, y, eps)
+        assert (core._strip_keys(eps, x) is not None) == fits
+        assert (core._strip_keys(eps, x, y) is not None) == fits
+
+        def forbidden(*args):
+            raise AssertionError(f"{label}: a d >= 2 count reached the brute force")
+
+        monkeypatch.setattr(core, "_count_within_naive", forbidden)
+        monkeypatch.setattr(core, "_count_between_naive", forbidden)
+        assert (count_close_within(x, eps), count_close_between(x, y, eps)) == want
 
 
 def _identity_instances():

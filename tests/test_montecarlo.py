@@ -1,12 +1,15 @@
 """Harness tests: determinism, error decomposition, slope fits, CSV schema."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from qfest import core
 from qfest import montecarlo as mc
 from qfest.bandwidth import EpsilonSchedule
+from qfest.cli import main as cli_main
 from qfest.estimators import EstimationError, estimate_divergence, log_gap
 from qfest.montecarlo import (
     CSV_HEADER,
@@ -31,6 +34,7 @@ from qfest.processes import (
     NormalMarginal,
     SeededStream,
     UniformMarginal,
+    generate,
     paired_generate,
 )
 
@@ -357,3 +361,38 @@ class TestCountOnce:
         )
         with pytest.raises(EstimationError, match=r"\(grid 0, replication 0\)"):
             run(plan)
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["one-sample", "paired"])
+    def test_failure_rate_error_streams_regenerate_the_draw(
+        self, tmp_path, capsys, monkeypatch, paired
+    ):
+        def failing(*args):
+            raise EstimationError("forced failure")
+
+        monkeypatch.setattr(mc.est, "evaluate", failing)
+        if paired:
+            plan = _fig1_plan(reps=2)
+            taps = "|".join(repr(t) for t in plan.process_x.taps)
+            specs = (f"gaussian-ma:taps={taps}", "gaussian-ma:taps=0.5|-0.5|0.5:shift=1")
+            pattern = r"seed (\d+) streams (\d+) \(x\) and (\d+) \(y\)"
+        else:
+            plan, specs = _iid_q20_plan(ns=(50, 100), reps=2), ("iid:base=normal",)
+            pattern = r"seed (\d+) stream (\d+)$"
+        with pytest.raises(mc.FailureRateError) as info:
+            run(plan)
+        message = str(info.value)
+        assert "(grid 0, replication 0)" in message
+        found = re.search(pattern, message)
+        seed, streams = found[1], found.groups()[1:]
+        n = plan.ns[0]
+        stream = SeededStream(plan.seed).child(0, 0)
+        if paired:
+            drawn = paired_generate(plan.process_x, plan.process_y, n, stream)
+        else:
+            drawn = (generate(plan.process_x, n, stream),)
+        for spec, stream_id, want in zip(specs, streams, drawn, strict=True):
+            out = tmp_path / f"{stream_id}.csv"
+            code = cli_main(["generate", "--process", spec, "--n", str(n), "--seed", seed,
+                             "--stream", stream_id, "--out", str(out)])
+            assert code == 0
+            assert np.array_equal(np.loadtxt(out, delimiter=",", ndmin=2), want)
