@@ -403,8 +403,6 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
         raise _InputError("expected one or two input files")
     samples = [_read_sample(p) for p in paths]
     variant = merged["variant"]
-    if variant == "complete" and merged["gap"] is not None:
-        raise _InputError("--gap applies to the incomplete variant only")
     kind = "q20" if functional == "q02" else functional  # q02 is q20 of the second sample
     x = samples[-1] if functional == "q02" else samples[0]
     y = samples[1] if two_sample else None

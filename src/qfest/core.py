@@ -5,17 +5,17 @@ no tolerance slack).  Every implementation compares the squared distance,
 accumulated coordinate by coordinate, against epsilon**2, so the brute-force
 reference and the accelerated paths agree bit for bit on any input.
 
-Full counts take the brute-force loop below ``NAIVE_CUTOFF`` points.  Above
-it, at d = 1 one exact-window routine over sorted values gives both the
-within- and the between-count.  At d >= 2 a strip grid (the cell method of
-Bentley, Stanat and Williams, 1977) sorts the points by a key of compressed
-integer cells, so the candidates of a point in each of its 3**(d-1) neighbour
-strips form one contiguous range; within-counts take each pair from one side
-only.  Where no cell can be formed (a zero radius, coordinates beyond the
-cells' integer resolution, or a key wider than 64 bits), an exact sweep takes
-the 1-D windows of the coordinate with the fewest 1-D close pairs.  Every
-candidate is checked with the full predicate.  Every gap count is the full
-count minus the near-lag counts up to the gap.
+Both full counts go through one kernel, which treats a within-count as a
+sample against itself with each pair taken from one side only.  At d >= 2 a
+strip grid (the cell method of Bentley, Stanat and Williams, 1977) sorts the
+points by a key of compressed integer cells, so the candidates of a point in
+each of its 3**(d-1) neighbour strips form one contiguous range.  At d = 1,
+and where no cell can be formed (a zero radius, coordinates beyond the cells'
+integer resolution, or a key wider than 64 bits), an exact sweep takes the
+1-D windows of the coordinate with the fewest 1-D close pairs over its sorted
+values; at d = 1 the window count is the answer.  Every other candidate is
+checked with the full predicate.  Every gap count is the full count minus the
+near-lag counts up to the gap.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Brute force below this many points; window/grid overheads dominate there.
-NAIVE_CUTOFF = 64
 
 # Above this |coordinate| / cell-side ratio the grid loses integer resolution;
 # such inputs take the one-coordinate sweep.
@@ -145,7 +142,8 @@ def iter_pairs_between_gap(n: int, gap: int):
 
 
 # ---------------------------------------------------------------------------
-# Brute-force counters (explicit iteration over the index sets)
+# Brute-force counters (explicit iteration over the index sets), kept as the
+# reference the tests hold every fast path to
 # ---------------------------------------------------------------------------
 
 
@@ -256,7 +254,7 @@ def _close_in_ranges(
 
 
 # ---------------------------------------------------------------------------
-# d = 1: exact windows in a sorted sample
+# Exact 1-D windows in a sorted sample
 # ---------------------------------------------------------------------------
 
 
@@ -295,19 +293,8 @@ def _window_bounds(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float):
     return starts, ends
 
 
-def _count_within_windows(x: np.ndarray, eps: float, eps2: float) -> int:
-    xs = np.sort(x)
-    ends = _window_ends(xs, xs, eps, eps2)
-    return int((ends - np.arange(1, xs.size + 1)).sum())
-
-
-def _count_between_windows(x: np.ndarray, y: np.ndarray, eps: float, eps2: float) -> int:
-    starts, ends = _window_bounds(np.sort(x), np.sort(y), eps, eps2)
-    return int(ends.sum() - starts.sum())
-
-
 # ---------------------------------------------------------------------------
-# d >= 2: strip grid, and an exact one-coordinate sweep where no cell fits
+# The counting kernel: a strip grid, and a one-coordinate sweep where no cell fits
 # ---------------------------------------------------------------------------
 
 # Relative inflation of the cell side; the exact predicate filters candidates,
@@ -320,8 +307,7 @@ def _grid_cells(pts: np.ndarray, eps: float):
     side = eps * _WINDOW_SLACK
     if side == 0.0:
         return None
-    with np.errstate(over="ignore"):
-        q = pts / side
+    q = pts / side
     if not (np.abs(q) < _MAX_CELL_COORD).all():
         return None
     return np.floor(q).astype(np.int64)
@@ -378,97 +364,79 @@ def _strip_range(keys: np.ndarray, probe: np.ndarray):
     )
 
 
-def _count_within_strips(
-    pts: np.ndarray, keys: np.ndarray, strides: list[int], eps2: float
+def _count_strips(
+    a: np.ndarray, b: np.ndarray | None, keys: list[np.ndarray], strides: list[int], eps2: float
 ) -> int:
-    """Pairs i < j in neighbouring cells, each pair found from one side only.
+    """Close pairs in neighbouring cells of the strip grid; ``b=None`` counts within ``a``.
 
-    In the query's own strip only the later positions j > i are taken; of the
-    other strips only the lexicographically positive offsets.
+    A between-count takes every ordered pair (a_i, b_j) over all 3**(d-1)
+    strips.  A within-count is ``a`` against itself with each pair found from
+    one side only: the candidates start after the query in key order, and only
+    the query's own strip and the lexicographically positive ones are walked.
+    The start clips only the own strip; a positive strip lies wholly after the
+    query, and a negative one could hold no later position.
     """
-    order = np.argsort(keys)
-    keys = keys[order]
-    cols = _columns(pts, order)
+    oa = np.argsort(keys[0])
+    ka, acols = keys[0][oa], _columns(a, oa)
     offsets = _strip_offsets(strides)
-    half = len(offsets) // 2
-    _, hi = _strip_range(keys, keys)
-    count = _close_in_ranges(cols, cols, np.arange(1, keys.size + 1), hi, eps2)
-    for off in offsets[half + 1 :]:
-        lo, hi = _strip_range(keys, keys + off)
-        count += _close_in_ranges(cols, cols, lo, hi, eps2)
-    return count
-
-
-def _count_between_strips(
-    xp: np.ndarray, kx: np.ndarray, yp: np.ndarray, ky: np.ndarray, strides: list[int], eps2: float
-) -> int:
-    """Ordered pairs (x_i, y_j) in neighbouring cells, over all 3**(d-1) strips."""
-    ox = np.argsort(kx)
-    oy = np.argsort(ky)
-    xcols, ycols = _columns(xp, ox), _columns(yp, oy)
-    kx, ky = kx[ox], ky[oy]
+    if b is None:
+        kb, bcols, first = ka, acols, np.arange(1, ka.size + 1)
+        offsets = offsets[len(offsets) // 2 :]
+    else:
+        ob = np.argsort(keys[1])
+        kb, bcols, first = keys[1][ob], _columns(b, ob), 0
     count = 0
-    for off in _strip_offsets(strides):
-        lo, hi = _strip_range(ky, kx + off)
-        count += _close_in_ranges(xcols, ycols, lo, hi, eps2)
+    for off in offsets:
+        lo, hi = _strip_range(kb, ka + off)
+        count += _close_in_ranges(acols, bcols, np.maximum(lo, first), hi, eps2)
     return count
 
 
 # A close pair is also close in each coordinate on its own: the squared
 # distance is a float sum of non-negative terms, and rounding is monotone, so
-# it is never below any one term.  The sweep takes the exact 1-D windows of
-# the coordinate with the fewest 1-D close pairs and checks each candidate in
-# full.
+# it is never below any one term.
 
 
-def _count_within_sweep(pts: np.ndarray, eps: float, eps2: float) -> int:
-    after = np.arange(1, pts.shape[0] + 1)
+def _count_sweep(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float) -> int:
+    """Close pairs from the exact 1-D windows of one coordinate; ``b=None`` counts within ``a``.
+
+    Every coordinate's windows are taken over its sorted values, and the one
+    with the fewest 1-D close pairs is kept.  At d = 1 its window count is the
+    answer; otherwise each candidate in its windows is checked in full.
+    """
     best = None
-    for column in pts.T:
-        order = np.argsort(column)
-        xs = column[order]
-        ends = _window_ends(xs, xs, eps, eps2)
-        found = int((ends - after).sum())
+    for k in range(a.shape[1]):
+        qs = np.sort(a[:, k])
+        if b is None:
+            lo, hi = np.arange(1, qs.size + 1), _window_ends(qs, qs, eps, eps2)
+        else:
+            lo, hi = _window_bounds(np.sort(b[:, k]), qs, eps, eps2)
+        found = int((hi - lo).sum())
         if best is None or found < best[0]:
-            best = (found, order, ends)
-    _, order, ends = best
-    cols = _columns(pts, order)
-    return _close_in_ranges(cols, cols, after, ends, eps2)
+            best = (found, k, lo, hi)
+    found, k, lo, hi = best
+    if a.shape[1] == 1:
+        return found
+    acols = _columns(a, np.argsort(a[:, k]))
+    bcols = acols if b is None else _columns(b, np.argsort(b[:, k]))
+    return _close_in_ranges(acols, bcols, lo, hi, eps2)
 
 
-def _count_between_sweep(xp: np.ndarray, yp: np.ndarray, eps: float, eps2: float) -> int:
-    best = None
-    for k in range(xp.shape[1]):
-        ox = np.argsort(xp[:, k])
-        oy = np.argsort(yp[:, k])
-        starts, ends = _window_bounds(yp[oy, k], xp[ox, k], eps, eps2)
-        found = int(ends.sum() - starts.sum())
-        if best is None or found < best[0]:
-            best = (found, ox, oy, starts, ends)
-    _, ox, oy, starts, ends = best
-    return _close_in_ranges(_columns(xp, ox), _columns(yp, oy), starts, ends, eps2)
+def _count_close(a: np.ndarray, b: np.ndarray | None, eps: float) -> int:
+    """Close pairs i < j within ``a`` when ``b`` is None, else ordered cross pairs (a_i, b_j).
 
-
-# Squares of huge differences overflow to inf and compare as not close, as in
-# the brute force; the overflow is expected, so it is not warned about.
-
-
-@np.errstate(over="ignore")
-def _count_within_grid(pts: np.ndarray, eps: float, eps2: float) -> int:
-    strips = _strip_keys(eps, pts)
-    if strips is None:
-        return _count_within_sweep(pts, eps, eps2)
-    (keys,), strides = strips
-    return _count_within_strips(pts, keys, strides, eps2)
-
-
-@np.errstate(over="ignore")
-def _count_between_grid(xp: np.ndarray, yp: np.ndarray, eps: float, eps2: float) -> int:
-    strips = _strip_keys(eps, xp, yp)
-    if strips is None:
-        return _count_between_sweep(xp, yp, eps, eps2)
-    (kx, ky), strides = strips
-    return _count_between_strips(xp, kx, yp, ky, strides, eps2)
+    This is the one counting kernel behind both full counts.  At d >= 2 the
+    strip grid counts whenever its keys fit; otherwise, and at d = 1, the
+    sweep does.  Squares of huge differences overflow to inf and compare as
+    not close, as in the brute force; the overflow is expected, so it is not
+    warned about.
+    """
+    samples = (a,) if b is None else (a, b)
+    with np.errstate(over="ignore"):
+        strips = _strip_keys(eps, *samples) if a.shape[1] > 1 else None
+        if strips is None:
+            return _count_sweep(a, b, eps, eps * eps)
+        return _count_strips(a, b, *strips, eps * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +480,7 @@ def near_lag_counts(a: np.ndarray, b: np.ndarray | None, epsilon: float, max_gap
 
 def count_close_within(x, epsilon) -> int:
     """Number of unordered pairs i < j of ``x`` at distance <= epsilon."""
-    pts = as_points(x)
-    eps = _check_radius(epsilon)
-    n = pts.shape[0]
-    if n < 2:
-        return 0
-    eps2 = eps * eps
-    if n < NAIVE_CUTOFF:
-        return _count_within_naive(pts, eps2)
-    if pts.shape[1] == 1:
-        return _count_within_windows(pts[:, 0], eps, eps2)
-    return _count_within_grid(pts, eps, eps2)
+    return _count_close(as_points(x), None, _check_radius(epsilon))
 
 
 def count_close_between(x, y, epsilon) -> int:
@@ -531,14 +489,7 @@ def count_close_between(x, y, epsilon) -> int:
     yp = as_points(y)
     _check_same_dim(xp, yp)
     _check_equal_length(xp, yp)
-    eps = _check_radius(epsilon)
-    eps2 = eps * eps
-    n = xp.shape[0]
-    if n < NAIVE_CUTOFF:
-        return _count_between_naive(xp, yp, eps2)
-    if xp.shape[1] == 1:
-        return _count_between_windows(xp[:, 0], yp[:, 0], eps, eps2)
-    return _count_between_grid(xp, yp, eps, eps2)
+    return _count_close(xp, yp, _check_radius(epsilon))
 
 
 def count_close_within_gap(x, epsilon, gap) -> int:

@@ -156,7 +156,8 @@ def count_pairs(functional, x, y, epsilon, variant="complete", gap=None) -> Pair
 
     ``functional`` is q20, q11, divergence or renyi2; ``y`` is the second
     sample of q11 and divergence.  The incomplete variant also counts the
-    near lags up to ``gap``, by default floor(log n) of the sample estimated.
+    near lags up to ``gap``, an integer, by default floor(log n) of the sample
+    estimated; the complete variant takes no gap.
     """
     if functional not in _PIECES:
         raise ValueError(f"functional must be one of {tuple(_PIECES)}, got {functional!r}")
@@ -169,8 +170,14 @@ def count_pairs(functional, x, y, epsilon, variant="complete", gap=None) -> Pair
     if n < 2 and (functional != "q11" or variant == "incomplete"):
         raise InsufficientDataError(f"need at least 2 observations, got {n}")
     g = None
+    if gap is not None:
+        if variant == "complete":
+            raise ValueError("complete variant takes no gap")
+        g = int(gap)
+        if g != gap:
+            raise ValueError(f"gap must be an integer, got {gap!r}")
     if variant == "incomplete":
-        g = log_gap(n) if gap is None else int(gap)
+        g = log_gap(n) if g is None else g
         if g >= n - 1:
             raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
     eps = EstimateConfig(*_KL[pieces[0]], float(epsilon), variant, g).epsilon

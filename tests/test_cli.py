@@ -114,6 +114,15 @@ class TestEstimate:
         assert float(pairs["value"]) == pytest.approx(1.0, rel=1e-12)
         assert pairs["gap"] == "2"
 
+    def test_gap_with_complete_variant_is_input_error(self, tmp_path, capsys):
+        path = _write_sample(tmp_path, "x.csv", [0.0, 0.0, 0.0, 0.0, 0.0])
+        code = main(
+            ["estimate", path, "--functional", "q20", "--epsilon", "0.5",
+             "--variant", "complete", "--gap", "2"]
+        )
+        assert code == 2
+        assert "complete variant takes no gap" in capsys.readouterr().err
+
 
 class TestGenerateRoundTrip:
     def test_cli_estimate_matches_library_exactly(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Counting-layer tests: geometry, dispatch equality, and index-set sizes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ class TestDispatchMatchesNaive:
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
-    n=st.integers(min_value=64, max_value=180),
+    n=st.integers(min_value=2, max_value=180),
     d=st.integers(min_value=1, max_value=4),
     eps=st.floats(min_value=0.0, max_value=6.0),
 )
@@ -251,12 +252,12 @@ def test_property_within_equals_naive(data, n, d, eps):
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
-    n=st.integers(min_value=64, max_value=120),
+    n=st.integers(min_value=2, max_value=120),
     d=st.integers(min_value=1, max_value=2),
     eps=st.floats(min_value=0.0, max_value=4.0),
-    gap=st.integers(min_value=0, max_value=60),
 )
-def test_property_gap_counts_equal_naive(data, n, d, eps, gap):
+def test_property_gap_counts_equal_naive(data, n, d, eps):
+    gap = data.draw(st.integers(min_value=0, max_value=min(60, n - 1)))
     flat = data.draw(
         st.lists(
             st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
@@ -325,7 +326,7 @@ def _adversarial_d1(kind, n, rng):
 
 
 class TestExactWindows:
-    """The d = 1 window routine against the brute-force loops, bit for bit."""
+    """The d = 1 counts against the brute-force loops, bit for bit, at every n."""
 
     @pytest.mark.parametrize(
         "kind,seed",
@@ -336,15 +337,8 @@ class TestExactWindows:
         for _ in range(40):
             n = int(rng.integers(1, 260))
             x, y, eps = _adversarial_d1(kind, n, rng)
-            eps2 = eps * eps
-            xp, yp = as_points(x), as_points(y)
-            assert core._count_within_windows(x, eps, eps2) == core._count_within_naive(xp, eps2)
-            assert core._count_between_windows(x, y, eps, eps2) == core._count_between_naive(
-                xp, yp, eps2
-            )
-            if n >= core.NAIVE_CUTOFF:
-                assert count_close_within(x, eps) == _naive_within(x, eps)
-                assert count_close_between(x, y, eps) == _naive_between(x, y, eps)
+            assert count_close_within(x, eps) == _naive_within(x, eps)
+            assert count_close_between(x, y, eps) == _naive_between(x, y, eps)
 
     def test_sphere_pairs_are_counted(self):
         # every consecutive pair of an evenly spaced grid sits exactly at eps
@@ -352,6 +346,24 @@ class TestExactWindows:
         assert count_close_within(x, 0.25) == 99
         # y_j - x_i = 0.25 * (j - i + 1): close for j - i in {-2, -1, 0}
         assert count_close_between(x, x + 0.25, 0.25) == 98 + 99 + 100
+
+
+class TestOverflow:
+    """Squares past the float range are inf and not close, and warn of nothing."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_huge_coordinates_match_naive(self, d):
+        rng = np.random.default_rng([2050, d])
+        # pairs among the first half have finite squares; any pair with a
+        # point of the second half overflows unless the two points coincide
+        x = np.concatenate([rng.normal(size=(100, d)) * 1e150, rng.normal(size=(100, d)) * 1e300])
+        y = x[rng.permutation(200)]
+        eps = 1e150  # eps**2 is finite; 1e200 would square to inf and make every pair close
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = count_close_within(x, eps), count_close_between(x, y, eps)
+        assert got == (_naive_within(x, eps), _naive_between(x, y, eps))
+        assert got[0] > 0 and got[1] > 200
 
 
 def _oracle_counts(x, y, eps):
@@ -413,7 +425,7 @@ class TestStripGrid:
     def test_matches_oracle(self, kind, d):
         rng = np.random.default_rng([d, GRID_KINDS.index(kind)])
         for _ in range(4):
-            n = int(rng.integers(core.NAIVE_CUTOFF, 400))
+            n = int(rng.integers(2, 400))
             x, y, eps = _adversarial_grid(kind, d, n, rng)
             want = _oracle_counts(x, y, eps)
             assert (count_close_within(x, eps), count_close_between(x, y, eps)) == want
@@ -429,9 +441,9 @@ class TestStripGrid:
 
 
 def _guarded_inputs():
-    """d >= 2 inputs of at least NAIVE_CUTOFF points, and whether a strip grid holds them."""
+    """Inputs of every dimension and size, and whether strip-grid keys fit them."""
     rng = np.random.default_rng(2040)
-    n = 2 * core.NAIVE_CUTOFF
+    n = 128
     x, y, eps = _adversarial_grid("wide", 3, n, rng)
     yield "strip grid", x, y, eps, True
     zero = rng.integers(0, 3, size=(2, n, 2)) * 1e-170
@@ -441,10 +453,15 @@ def _guarded_inputs():
     # compressed ranks up to about 2n per coordinate: (2n)**6 passes an int64
     wide = _clustered(rng, 1000, 6, 1e7)
     yield "key width", wide, wide[::-1] + 0.25, 1.0, False
+    small = rng.normal(size=(2, 10, 2))
+    yield "short strip grid", small[0], small[1], 0.8, True
+    line = rng.normal(size=(2, n, 1))
+    yield "line", line[0], line[1], 0.1, True
+    yield "short line", line[0, :10], line[1, :10], 0.5, True
 
 
 class TestNoQuadraticFallback:
-    """No d >= 2 count of NAIVE_CUTOFF or more points runs the brute-force loops."""
+    """No count, at any n or d, runs the brute-force loops."""
 
     @pytest.mark.parametrize(
         "label,x,y,eps,fits", [pytest.param(*case, id=case[0]) for case in _guarded_inputs()]
@@ -455,7 +472,7 @@ class TestNoQuadraticFallback:
         assert (core._strip_keys(eps, x, y) is not None) == fits
 
         def forbidden(*args):
-            raise AssertionError(f"{label}: a d >= 2 count reached the brute force")
+            raise AssertionError(f"{label}: a count reached the brute force")
 
         monkeypatch.setattr(core, "_count_within_naive", forbidden)
         monkeypatch.setattr(core, "_count_between_naive", forbidden)

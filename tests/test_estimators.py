@@ -145,6 +145,29 @@ class TestIncomplete:
         with pytest.raises(InsufficientDataError):
             estimate_q11_incomplete([0.0, 1.0], [0.0, 1.0], 0.5, 1)
 
+    def test_non_integer_gap_is_rejected(self):
+        x = np.arange(20.0)
+        with pytest.raises(ValueError, match="gap must be an integer"):
+            estimate_q20_incomplete(x, 0.5, 2.7)
+        with pytest.raises(ValueError, match="gap must be an integer"):
+            estimate_q11_incomplete(x, x, 0.5, 2.5)
+
+    def test_numpy_integer_gap_is_accepted(self):
+        rng = np.random.default_rng(109)
+        x = rng.normal(size=60)
+        y = rng.normal(size=60)
+        assert estimate_q20_incomplete(x, 0.2, np.int64(3)) == estimate_q20_incomplete(x, 0.2, 3)
+        assert estimate_divergence(x, y, 0.2, "incomplete", np.int32(3)) == estimate_divergence(
+            x, y, 0.2, "incomplete", 3
+        )
+
+    def test_complete_variant_rejects_a_gap(self):
+        x = np.arange(20.0)
+        with pytest.raises(ValueError, match="complete variant takes no gap"):
+            estimate_divergence(x, x + 0.5, 0.5, "complete", gap=3)
+        with pytest.raises(ValueError, match="complete variant takes no gap"):
+            estimate_renyi2(x, 0.5, "complete", gap=0)
+
     def test_default_gap_is_log_n(self):
         rng = np.random.default_rng(106)
         x = rng.normal(size=150)
