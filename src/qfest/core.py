@@ -5,17 +5,20 @@ no tolerance slack).  Every implementation compares the squared distance,
 accumulated coordinate by coordinate, against epsilon**2, so the brute-force
 reference and the accelerated paths agree bit for bit on any input.
 
-Both full counts go through one kernel, which treats a within-count as a
-sample against itself with each pair taken from one side only.  At d >= 2 a
+Every count goes through one kernel, ``_close_counts``, which counts a stack
+of equal-length samples (one per row) into per-row full and near-lag counts;
+a single sample is a stack of one.  It treats a within-count as a sample
+against itself with each pair taken from one side only.  At d >= 2 a
 strip grid (the cell method of Bentley, Stanat and Williams, 1977) sorts the
 points by a key of compressed integer cells, so the candidates of a point in
 each of its 3**(d-1) neighbour strips form one contiguous range.  At d = 1,
 and where no cell can be formed (a zero radius, coordinates beyond the cells'
 integer resolution, or a key wider than 64 bits), an exact sweep takes the
 1-D windows of the coordinate with the fewest 1-D close pairs over its sorted
-values; at d = 1 the window count is the answer.  Every other candidate is
-checked with the full predicate.  Every gap count is the full count minus the
-near-lag counts up to the gap.
+values; at d = 1 the window count is the answer, and the rows of a stack
+are windowed together.  Every other candidate is checked with the full
+predicate.  Every gap count is the full count minus the near-lag counts up to
+the gap, each lag one dense comparison of the stack shifted along time.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ _MAX_CELL_COORD = 2.0**52
 
 # Flattened candidate-pair buffers are processed in chunks of this many pairs.
 _PAIR_CHUNK = 4_000_000
+
+# Stacks are counted in blocks of rows of about this many observations each.
+_STACK_BLOCK = 2**14
 
 
 def as_points(x) -> np.ndarray:
@@ -254,43 +260,67 @@ def _close_in_ranges(
 
 
 # ---------------------------------------------------------------------------
-# Exact 1-D windows in a sorted sample
+# Exact 1-D windows in sorted rows
 # ---------------------------------------------------------------------------
 
 
 def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.ndarray:
-    """One past the close run of each query ``q`` in the sorted sample ``xs``.
+    """One past the close run of each query of ``q`` in its own row of ``xs``.
 
-    The end is the first value above the query that fails ``diff*diff <= eps2``.
+    ``xs`` is an (R, n) stack of sorted rows and ``q`` an (R, m) stack of
+    queries; the queries of row r are windowed in row r of ``xs`` only.  The
+    end is the first value above the query that fails ``diff*diff <= eps2``.
     Rounding is monotone, so the predicate holds on a contiguous run of a
-    sorted array; the searchsorted guess ``q + eps`` is then grown or shrunk
-    past the values where the exact predicate disagrees with it.
+    sorted row; each row's searchsorted guess ``q + eps`` is then grown or
+    shrunk past the values where the exact predicate disagrees with it.  Both
+    loops run over the flattened stack at once, and each end stops at its own
+    row's bounds.
     """
-    n = xs.size
-    ends = np.searchsorted(xs, q + eps, side="right")
-    active = np.nonzero(ends < n)[0]
+    rows, n = xs.shape
+    m = q.shape[1]
+    first = np.arange(0, rows * n, n)[:, None]  # each row's offset in the flattened stack
+    guess = q + eps
+    found = [xs[r].searchsorted(guess[r], side="right") for r in range(rows)]
+    ends = found[0][None] if rows == 1 else np.stack(found)  # one row needs no copy
+    ends += first
+    flat_x, flat_q, flat = xs.ravel(), q.ravel(), ends.ravel()
+    active = np.flatnonzero(ends < first + n)
     while active.size:
-        diff = xs[ends[active]] - q[active]
+        diff = flat_x[flat[active]] - flat_q[active]
         active = active[diff * diff <= eps2]
-        ends[active] += 1
-        active = active[ends[active] < n]
-    active = np.nonzero(ends > 0)[0]
+        flat[active] += 1
+        active = active[flat[active] < (active // m + 1) * n]
+    active = np.flatnonzero(ends > first)
     while active.size:
-        last = xs[ends[active] - 1]
-        diff = last - q[active]
-        active = active[(last > q[active]) & ~(diff * diff <= eps2)]
-        ends[active] -= 1
-        active = active[ends[active] > 0]
+        last = flat_x[flat[active] - 1]
+        diff = last - flat_q[active]
+        active = active[(last > flat_q[active]) & ~(diff * diff <= eps2)]
+        flat[active] -= 1
+        active = active[flat[active] > active // m * n]
+    ends -= first
     return ends
 
 
 def _window_bounds(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float):
-    """The close run [start, end) of each query of the sorted ``qs`` in the sorted ``xs``."""
+    """The close run [start, end) of each query of the sorted rows ``qs`` in its row of ``xs``."""
     ends = _window_ends(xs, qs, eps, eps2)
     # starts from the mirrored problem: negation is exact, so -x and -q give
     # the same predicate, and a window end there is n minus a start here
-    starts = xs.size - _window_ends(-xs[::-1], -qs[::-1], eps, eps2)[::-1]
+    starts = xs.shape[1] - _window_ends(-xs[:, ::-1], -qs[:, ::-1], eps, eps2)[:, ::-1]
     return starts, ends
+
+
+def _sorted_windows(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float):
+    """Exact 1-D windows [lo, hi) of the rows of ``a``, each row sorted; ``b=None`` is within.
+
+    ``a`` and ``b`` are (R, n) stacks of one coordinate.  The windows of a
+    within-count start after the query; a between-count's are the close runs
+    of each sorted row of ``a`` in the sorted row of ``b`` with the same index.
+    """
+    qs = np.sort(a, axis=1)
+    if b is None:
+        return np.arange(1, qs.shape[1] + 1)[None], _window_ends(qs, qs, eps, eps2)
+    return _window_bounds(np.sort(b, axis=1), qs, eps, eps2)
 
 
 # ---------------------------------------------------------------------------
@@ -400,43 +430,44 @@ def _count_strips(
 def _count_sweep(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float) -> int:
     """Close pairs from the exact 1-D windows of one coordinate; ``b=None`` counts within ``a``.
 
-    Every coordinate's windows are taken over its sorted values, and the one
-    with the fewest 1-D close pairs is kept.  At d = 1 its window count is the
-    answer; otherwise each candidate in its windows is checked in full.
+    ``a`` and ``b`` are single samples of d >= 2 coordinates.  Every
+    coordinate's windows are taken over its sorted values, and the one with
+    the fewest 1-D close pairs is kept; each candidate in its windows is then
+    checked in full.
     """
     best = None
     for k in range(a.shape[1]):
-        qs = np.sort(a[:, k])
-        if b is None:
-            lo, hi = np.arange(1, qs.size + 1), _window_ends(qs, qs, eps, eps2)
-        else:
-            lo, hi = _window_bounds(np.sort(b[:, k]), qs, eps, eps2)
+        lo, hi = _sorted_windows(a[None, :, k], None if b is None else b[None, :, k], eps, eps2)
         found = int((hi - lo).sum())
         if best is None or found < best[0]:
-            best = (found, k, lo, hi)
+            best = (found, k, lo[0], hi[0])
     found, k, lo, hi = best
-    if a.shape[1] == 1:
-        return found
     acols = _columns(a, np.argsort(a[:, k]))
     bcols = acols if b is None else _columns(b, np.argsort(b[:, k]))
     return _close_in_ranges(acols, bcols, lo, hi, eps2)
 
 
-def _count_close(a: np.ndarray, b: np.ndarray | None, eps: float) -> int:
-    """Close pairs i < j within ``a`` when ``b`` is None, else ordered cross pairs (a_i, b_j).
+def _count_close(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float) -> np.ndarray:
+    """Close pairs i < j within each row of ``a`` when ``b`` is None, else ordered cross pairs.
 
-    This is the one counting kernel behind both full counts.  At d >= 2 the
-    strip grid counts whenever its keys fit; otherwise, and at d = 1, the
-    sweep does.  Squares of huge differences overflow to inf and compare as
-    not close, as in the brute force; the overflow is expected, so it is not
-    warned about.
+    ``a`` and ``b`` are (R, n, d) stacks and row r of ``a`` is paired with
+    row r of ``b``.  At d = 1 every row is counted by the exact windows at
+    once.  At d >= 2 the strip grid counts a row whenever its keys fit, and
+    the sweep otherwise.
     """
-    samples = (a,) if b is None else (a, b)
-    with np.errstate(over="ignore"):
-        strips = _strip_keys(eps, *samples) if a.shape[1] > 1 else None
+    if a.shape[2] == 1:
+        # the window is the whole predicate: a row's count is its window lengths' sum
+        lo, hi = _sorted_windows(a[..., 0], None if b is None else b[..., 0], eps, eps2)
+        return (hi - lo).sum(axis=1)
+    counts = []
+    for r, pts in enumerate(a):
+        other = None if b is None else b[r]
+        strips = _strip_keys(eps, pts) if other is None else _strip_keys(eps, pts, other)
         if strips is None:
-            return _count_sweep(a, b, eps, eps * eps)
-        return _count_strips(a, b, *strips, eps * eps)
+            counts.append(_count_sweep(pts, other, eps, eps2))
+        else:
+            counts.append(_count_strips(pts, other, *strips, eps2))
+    return np.array(counts, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +475,62 @@ def _count_close(a: np.ndarray, b: np.ndarray | None, eps: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _shifted_close_count(a: np.ndarray, b: np.ndarray, eps2: float) -> int:
-    """Close pairs among (a_i, b_i) rows, coordinate-accumulated distances."""
-    diff = a[:, 0] - b[:, 0]
+def _shifted_close_count(a: np.ndarray, b: np.ndarray, eps2: float) -> np.ndarray:
+    """Close pairs among (a[r, i], b[r, i]) in each row r, coordinate-accumulated distances.
+
+    The stacks are (R, L, d); the counts broadcast to shape (R,).
+    """
+    diff = a[..., 0] - b[..., 0]
     s = diff * diff
-    for k in range(1, a.shape[1]):
-        diff = a[:, k] - b[:, k]
+    for k in range(1, a.shape[2]):
+        diff = a[..., k] - b[..., k]
         s = s + diff * diff
-    return int(np.count_nonzero(s <= eps2))
+    close = s <= eps2
+    if len(close) == 1:  # the flat count of one row is several times faster
+        return np.count_nonzero(close)
+    return np.count_nonzero(close, axis=1)
+
+
+def _near_lags(a: np.ndarray, b: np.ndarray | None, eps2: float, max_gap: int) -> np.ndarray:
+    """Close pairs at index lag exactly h in each row, shape (R, max_gap + 1).
+
+    Each lag is one dense comparison of the stacks shifted along time.
+    """
+    near = np.zeros((a.shape[0], max_gap + 1), dtype=np.int64)
+    for h in range(1, max_gap + 1):
+        if b is None:
+            near[:, h] = _shifted_close_count(a[:, h:], a[:, :-h], eps2)
+        else:
+            near[:, h] = _shifted_close_count(a[:, :-h], b[:, h:], eps2)
+            near[:, h] += _shifted_close_count(a[:, h:], b[:, :-h], eps2)
+    if b is not None:
+        near[:, 0] = _shifted_close_count(a, b, eps2)
+    return near
+
+
+def _close_counts(a: np.ndarray, b: np.ndarray | None, eps: float, max_gap=None, full=True):
+    """Full and near-lag close-pair counts of each row of the stacks ``a`` and ``b``.
+
+    This is the one counting kernel.  ``a`` and ``b`` are (R, n, d) stacks of
+    validated samples (``b=None`` counts pairs within ``a``; otherwise ``b``
+    matches ``a`` in shape); a single sample is a stack of one.  Returns the
+    per-row full counts (None unless ``full``) and, when ``max_gap`` is given,
+    the per-row counts at each lag 0..max_gap (see ``near_lag_counts``).
+    Squares of huge differences overflow to inf and compare as not close, as
+    in the brute force; the overflow is expected, so it is not warned about.
+    """
+    eps2 = eps * eps
+    step = max(1, _STACK_BLOCK // a.shape[1])
+    blocks = [
+        (a[r : r + step], None if b is None else b[r : r + step]) for r in range(0, len(a), step)
+    ]
+    counts = near = None
+    with np.errstate(over="ignore"):
+        if full:
+            counts = np.concatenate([_count_close(*rows, eps, eps2) for rows in blocks])
+        if max_gap is not None:
+            near = np.concatenate([_near_lags(*rows, eps2, max_gap) for rows in blocks])
+    return counts, near
 
 
 def near_lag_counts(a: np.ndarray, b: np.ndarray | None, epsilon: float, max_gap: int):
@@ -462,15 +541,8 @@ def near_lag_counts(a: np.ndarray, b: np.ndarray | None, epsilon: float, max_gap
     |j - i| = h.  The samples must already be validated by ``as_points`` (and
     ``a``, ``b`` be of equal length), the radius by the caller.
     """
-    eps2 = epsilon * epsilon
-    lags = range(1, max_gap + 1)
-    if b is None:
-        return (0, *(_shifted_close_count(a[h:], a[:-h], eps2) for h in lags))
-    cross = (
-        _shifted_close_count(a[:-h], b[h:], eps2) + _shifted_close_count(a[h:], b[:-h], eps2)
-        for h in lags
-    )
-    return (_shifted_close_count(a, b, eps2), *cross)
+    _, near = _close_counts(a[None], None if b is None else b[None], epsilon, max_gap, full=False)
+    return tuple(near[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +550,15 @@ def near_lag_counts(a: np.ndarray, b: np.ndarray | None, epsilon: float, max_gap
 # ---------------------------------------------------------------------------
 
 
+def _count_one(a: np.ndarray, b: np.ndarray | None, eps: float, gap=None) -> int:
+    """The full count of one validated sample or pair, less its near lags up to ``gap``."""
+    full, near = _close_counts(a[None], None if b is None else b[None], eps, gap)
+    return int(full[0]) if near is None else int(full[0] - near[0].sum())
+
+
 def count_close_within(x, epsilon) -> int:
     """Number of unordered pairs i < j of ``x`` at distance <= epsilon."""
-    return _count_close(as_points(x), None, _check_radius(epsilon))
+    return _count_one(as_points(x), None, _check_radius(epsilon))
 
 
 def count_close_between(x, y, epsilon) -> int:
@@ -489,15 +567,14 @@ def count_close_between(x, y, epsilon) -> int:
     yp = as_points(y)
     _check_same_dim(xp, yp)
     _check_equal_length(xp, yp)
-    return _count_close(xp, yp, _check_radius(epsilon))
+    return _count_one(xp, yp, _check_radius(epsilon))
 
 
 def count_close_within_gap(x, epsilon, gap) -> int:
     """Close pairs i < j of ``x`` with index separation j - i > gap."""
     pts = as_points(x)
     eps = _check_radius(epsilon)
-    g = _check_gap(gap, pts.shape[0])
-    return count_close_within(pts, eps) - sum(near_lag_counts(pts, None, eps, g))
+    return _count_one(pts, None, eps, _check_gap(gap, pts.shape[0]))
 
 
 def count_close_between_gap(x, y, epsilon, gap) -> int:
@@ -507,5 +584,4 @@ def count_close_between_gap(x, y, epsilon, gap) -> int:
     _check_same_dim(xp, yp)
     _check_equal_length(xp, yp)
     eps = _check_radius(epsilon)
-    g = _check_gap(gap, xp.shape[0])
-    return count_close_between(xp, yp, eps) - sum(near_lag_counts(xp, yp, eps, g))
+    return _count_one(xp, yp, eps, _check_gap(gap, xp.shape[0]))

@@ -122,8 +122,7 @@ class AsymptoticVariance:
 
 
 # The pieces each functional is computed from: q20 counts pairs within x, q02
-# within y, q11 ordered cross pairs.  The cross count goes first: it checks
-# that the two samples match before any other count is made.
+# within y, q11 ordered cross pairs.
 _PIECES = {
     "q20": ("q20",),
     "q11": ("q11",),
@@ -166,7 +165,7 @@ def count_pairs(functional, x, y, epsilon, variant="complete", gap=None) -> Pair
     pieces = _PIECES[functional]
     xp = as_points(x)
     yp = as_points(y) if "q11" in pieces else None
-    n, d = xp.shape
+    n = xp.shape[0]
     if n < 2 and (functional != "q11" or variant == "incomplete"):
         raise InsufficientDataError(f"need at least 2 observations, got {n}")
     g = None
@@ -181,16 +180,35 @@ def count_pairs(functional, x, y, epsilon, variant="complete", gap=None) -> Pair
         if g >= n - 1:
             raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
     eps = EstimateConfig(*_KL[pieces[0]], float(epsilon), variant, g).epsilon
-    samples = {"q20": (xp, None), "q11": (xp, yp), "q02": (yp, None)}
+    if yp is not None:
+        core._check_same_dim(xp, yp)
+        core._check_equal_length(xp, yp)
+    return _count_stack(functional, xp[None], None if yp is None else yp[None], eps, g)[0]
+
+
+def _count_stack(functional, xs, ys, eps: float, gap: int | None) -> list[PairCounts]:
+    """Count the pieces of ``functional`` once over stacks of samples: one record per row.
+
+    ``xs`` and ``ys`` are (R, n, d) stacks of validated samples (``ys`` is
+    None unless a piece needs it), and row r of ``xs`` is paired with row r
+    of ``ys``.  Each piece is counted over all R rows at once, with its near
+    lags up to ``gap`` unless that is None.
+    """
+    samples = {"q20": (xs, None), "q11": (xs, ys), "q02": (ys, None)}
     full, near = {}, {}
-    for piece in pieces:
+    for piece in _PIECES[functional]:
         a, b = samples[piece]
-        full[piece] = (
-            core.count_close_within(a, eps) if b is None else core.count_close_between(a, b, eps)
+        counts, lags = core._close_counts(a, b, eps, gap)
+        full[piece] = counts.tolist()
+        if lags is not None:
+            near[piece] = [tuple(row) for row in lags.tolist()]
+    rows, n, d = xs.shape
+    return [
+        PairCounts(
+            n, d, eps, gap, {p: c[r] for p, c in full.items()}, {p: c[r] for p, c in near.items()}
         )
-        if g is not None:
-            near[piece] = core.near_lag_counts(a, b, eps, g)
-    return PairCounts(n, d, eps, g, full, near)
+        for r in range(rows)
+    ]
 
 
 def estimate_piece(counts: PairCounts, piece: str, gap: int | None = None) -> FunctionalEstimate:

@@ -41,8 +41,10 @@ class SeededStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh counter-based generator keyed by (seed, stream)."""
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self._key()))
+
+    def _key(self) -> np.ndarray:
+        return np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
 
     def child(self, *indices: int) -> "SeededStream":
         """Derive an independent substream by folding indices into the id."""
@@ -348,12 +350,35 @@ PROCESS_KINDS = ("gaussian-ma", "min-exp", "product-gauss", "max-iid", "bernoull
 # ---------------------------------------------------------------------------
 
 
-def generate(spec, n: int, stream: SeededStream) -> np.ndarray:
-    """Generate n consecutive observations as an (n, 1) sample array."""
+def _generate_stack(spec, n: int, streams) -> np.ndarray:
+    """Generate an (R, n, 1) stack whose row r holds the n observations of ``streams[r]``.
+
+    One Philox fills every row: before each stream its state is reset to the
+    stream's key with counter 0 and an empty buffer, which is the state of a
+    fresh ``stream.generator()``, so every row holds the same draws.
+    """
     if int(n) != n or n < 1:
         raise ValueError(f"sample length must be a positive integer, got {n!r}")
-    x = spec.sample_path(int(n), stream.generator())
-    return np.asarray(x, dtype=float).reshape(int(n), 1)
+    n = int(n)
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    out = np.empty((len(streams), n, 1))
+    for row, stream in zip(out, streams):
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": stream._key()},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        row[:, 0] = spec.sample_path(n, rng)
+    return out
+
+
+def generate(spec, n: int, stream: SeededStream) -> np.ndarray:
+    """Generate n consecutive observations as an (n, 1) sample array."""
+    return _generate_stack(spec, n, [stream])[0]
 
 
 def paired_generate(spec_x, spec_y, n: int, stream: SeededStream):

@@ -21,6 +21,7 @@ from qfest.core import (
     iter_pairs_within_gap,
     unit_ball_volume,
 )
+from qfest.estimators import estimate_q20_incomplete
 
 
 class TestBallVolume:
@@ -364,6 +365,96 @@ class TestOverflow:
             got = count_close_within(x, eps), count_close_between(x, y, eps)
         assert got == (_naive_within(x, eps), _naive_between(x, y, eps))
         assert got[0] > 0 and got[1] > 200
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_huge_coordinates_gap_counts_match_naive(self, d):
+        rng = np.random.default_rng([2061, d])
+        # neighbours repeat, so the near lags hold close pairs; the rest
+        # overflow when squared, or are finite and close at the 1e150 scale
+        points = np.concatenate([rng.normal(size=(50, d)) * 1e150,
+                                 rng.normal(size=(50, d)) * 1e300])
+        x = np.repeat(points[rng.permutation(100)], 2, axis=0)
+        y = x[::-1].copy()
+        eps = 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = count_close_within_gap(x, eps, 2), count_close_between_gap(x, y, eps, 2)
+            estimate_q20_incomplete(x, eps, 2)
+        assert got == (_naive_within(x, eps, 2), _naive_between(x, y, eps, 2))
+        assert count_close_within(x, eps) > got[0]
+
+
+# Rows of these kinds are mixed within one stack, so a row's window that ran
+# past its own ends would reach values of another scale.
+_ROW_KINDS = {
+    # distinct points, close at eps = 0: their squared differences underflow
+    "tiny": lambda rng, n, d: rng.integers(0, 3, size=(n, d)) * 1e-170,
+    # one ulp (0.125) apart at 1e15
+    "translated": lambda rng, n, d: 1e15 + rng.integers(0, 8, size=(n, d)) * 0.125,
+    "ties": lambda rng, n, d: rng.integers(0, 2, size=(n, d)).astype(float),
+    "normal": lambda rng, n, d: rng.normal(size=(n, d)),
+    "constant": lambda rng, n, d: np.full((n, d), 0.5),
+    # squared differences overflow
+    "huge": lambda rng, n, d: rng.normal(size=(n, d)) * 1e300,
+}
+# 0.075 is 0.6 ulp at 1e15, so q + eps rounds past the exact boundary;
+# 1e155 squares to inf, so every pair is close
+_STACK_RADII = (0.0, 0.075, 1.0, 1e150, 1e155)
+
+
+def _mixed_stack(rng, rows, n, d):
+    kinds = list(_ROW_KINDS.values())
+    return np.stack([kinds[k](rng, n, d) for k in rng.integers(0, len(kinds), size=rows)])
+
+
+def _naive_lag(a, b, eps, h):
+    """Close pairs at index lag exactly h, by explicit iteration.
+
+    The pairs are i < j of ``a`` when ``b`` is None, else ordered cross pairs.
+    """
+    eps2 = eps * eps
+    n = len(a)
+    if b is None:
+        pairs = [(i, i + h) for i in range(n - h)] if h else []
+        b = a
+    else:
+        pairs = {(i, i + h) for i in range(n - h)} | {(i + h, i) for i in range(n - h)}
+    return sum(core._sq_dist_rows(a[i], b[j]) <= eps2 for i, j in pairs)
+
+
+class TestStacks:
+    """Every row of a stacked count equals the brute force on that row alone."""
+
+    @pytest.mark.parametrize("block", [None, 5], ids=["default-block", "block-5"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rows_match_naive(self, monkeypatch, d, block):
+        if block is not None:
+            monkeypatch.setattr(core, "_STACK_BLOCK", block)
+        rng = np.random.default_rng([2062, d])
+        for n in (1, 2, 3, 5, 17, 40):
+            gap = min(n - 1, 3) if n > 1 else None
+            for _ in range(8):
+                a, b = _mixed_stack(rng, 7, n, d), _mixed_stack(rng, 7, n, d)
+                for eps in _STACK_RADII:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        within, near_w = core._close_counts(a, None, eps, gap)
+                        between, near_b = core._close_counts(a, b, eps, gap)
+                    for r in range(len(a)):
+                        xr, yr = a[r].tolist(), b[r].tolist()
+                        assert within[r] == _naive_within(a[r], eps)
+                        assert between[r] == _naive_between(a[r], b[r], eps)
+                        for h in range(gap + 1 if gap is not None else 0):
+                            assert near_w[r, h] == _naive_lag(xr, None, eps, h)
+                            assert near_b[r, h] == _naive_lag(xr, yr, eps, h)
+
+    def test_library_count_is_a_stack_of_one(self):
+        rng = np.random.default_rng(2063)
+        a, b = _mixed_stack(rng, 6, 30, 1), _mixed_stack(rng, 6, 30, 1)
+        full, near = core._close_counts(a, b, 1.0, 4)
+        for r in range(len(a)):
+            assert full[r] == count_close_between(a[r], b[r], 1.0)
+            assert tuple(near[r]) == core.near_lag_counts(a[r], b[r], 1.0, 4)
 
 
 def _oracle_counts(x, y, eps):

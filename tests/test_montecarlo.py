@@ -10,7 +10,16 @@ from qfest import core
 from qfest import montecarlo as mc
 from qfest.bandwidth import EpsilonSchedule
 from qfest.cli import main as cli_main
-from qfest.estimators import EstimationError, estimate_divergence, log_gap
+from qfest.estimators import (
+    EstimationError,
+    estimate_divergence,
+    estimate_q11,
+    estimate_q11_incomplete,
+    estimate_q20,
+    estimate_q20_incomplete,
+    estimate_renyi2,
+    log_gap,
+)
 from qfest.montecarlo import (
     CSV_HEADER,
     EstimatorSpec,
@@ -29,9 +38,13 @@ from qfest.montecarlo import (
     write_csv,
 )
 from qfest.processes import (
+    BernoulliShuffle,
     GaussianMA,
     Iid,
+    MaxIid,
+    MinExp,
     NormalMarginal,
+    ProductGauss,
     SeededStream,
     UniformMarginal,
     generate,
@@ -320,6 +333,67 @@ def _fig1_plan(reps=3):
     )
 
 
+def _library_value(functional, x, y, eps, gap):
+    """The library estimate of one functional; gap None is the complete variant."""
+    if functional == "q20":
+        return (estimate_q20(x, eps) if gap is None else estimate_q20_incomplete(x, eps, gap)).value
+    if functional == "q11":
+        if gap is None:
+            return estimate_q11(x, y, eps).value
+        return estimate_q11_incomplete(x, y, eps, gap).value
+    variant = "complete" if gap is None else "incomplete"
+    if functional == "divergence":
+        return estimate_divergence(x, y, eps, variant, gap)
+    return estimate_renyi2(x, eps, variant, gap)
+
+
+def _specs(functional, *gap_rules):
+    return (EstimatorSpec(functional),) + tuple(
+        EstimatorSpec(functional, "incomplete", rule) for rule in gap_rules
+    )
+
+
+# Small plans over every process kind, functional and gap rule.  In the
+# divergence plan, 7 rows of n = 5000 hold more values than one block of the
+# stacked kernel (2**14), and the renyi2 plan's tiny radius leaves some
+# replications without a close pair.
+HARNESS_PLANS = {
+    "iid-q20": dict(
+        process_x=Iid(UniformMarginal(0.0, 1.0)),
+        estimators=_specs("q20", GapRule.log(), GapRule.fixed(0)),
+        ns=(10, 60),
+    ),
+    "max-iid-q20": dict(
+        process_x=MaxIid(),
+        estimators=_specs("q20", GapRule.sqrt(), GapRule.fixed(2)),
+        ns=(12, 80),
+    ),
+    "min-exp+bernoulli-shuffle-q11": dict(
+        process_x=MinExp(),
+        process_y=BernoulliShuffle(),
+        estimators=_specs("q11", GapRule.log(), GapRule.fixed(3)),
+        ns=(10, 70),
+    ),
+    "gaussian-ma+max-iid-divergence": dict(
+        process_x=GaussianMA(taps=(1 / SQ3,) * 3),
+        process_y=MaxIid(),
+        estimators=_specs("divergence", GapRule.sqrt(), GapRule.fixed(1)),
+        ns=(12, 5000),
+    ),
+    "product-gauss-renyi2": dict(
+        process_x=ProductGauss(),
+        estimators=_specs("renyi2", GapRule.log(), GapRule.sqrt()),
+        ns=(10, 30),
+        schedule=EpsilonSchedule("thm1iii", d=1, alpha=1.0, c=0.01),
+    ),
+    "bernoulli-shuffle-renyi2": dict(
+        process_x=BernoulliShuffle(),
+        estimators=_specs("renyi2", GapRule.fixed(1)),
+        ns=(10, 40),
+    ),
+}
+
+
 class TestCountOnce:
     def test_harness_values_equal_library_estimates(self):
         plan = _fig1_plan()
@@ -332,24 +406,63 @@ class TestCountOnce:
                 assert values[0, r] == estimate_divergence(x, y, eps)
                 assert values[1, r] == estimate_divergence(x, y, eps, "incomplete", log_gap(n))
 
+    @pytest.mark.parametrize("name", list(HARNESS_PLANS))
+    def test_every_replication_equals_the_library(self, name):
+        plan = ExperimentPlan(**{"schedule": T1REG, "reps": 7, "seed": 3, **HARNESS_PLANS[name]})
+        base = SeededStream(plan.seed)
+        failed = []
+        for gi, n in enumerate(plan.ns):
+            eps = plan.schedule.epsilon_at(n)
+            # two chunks, so the stream of a row depends on the chunk's start
+            values = np.concatenate(
+                [mc._eval_chunk(plan, gi, n, eps, 0, 3), mc._eval_chunk(plan, gi, n, eps, 3, 7)],
+                axis=1,
+            )
+            for r in range(plan.reps):
+                stream = base.child(gi, r)
+                if plan.process_y is None:
+                    x, y = generate(plan.process_x, n, stream), None
+                else:
+                    x, y = paired_generate(plan.process_x, plan.process_y, n, stream)
+                for e_i, spec in enumerate(plan.estimators):
+                    gap = spec.gap_rule.at(n) if spec.variant == "incomplete" else None
+                    try:
+                        want = _library_value(plan.functional, x, y, eps, gap)
+                    except EstimationError:
+                        failed.append(True)
+                        assert np.isnan(values[e_i, r])
+                    else:
+                        failed.append(False)
+                        assert values[e_i, r] == want
+        assert any(failed) == (name == "product-gauss-renyi2")
+        assert not all(failed)
+
     def test_each_draw_is_counted_once(self, monkeypatch):
+        # the chunk is counted as one stack per piece, over all its rows, and
+        # no public count is made per replication
         calls = []
 
-        def recorded(name):
-            func = getattr(core, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return func(*args)
+        def recorded(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args))
+                return func(*args, **kwargs)
 
             return wrapper
 
-        for name in ("count_close_within", "count_close_between"):
-            monkeypatch.setattr(core, name, recorded(name))
+        monkeypatch.setattr(core, "_close_counts", recorded("stack", core._close_counts))
+        for name in ("count_close_within", "count_close_between",
+                     "count_close_within_gap", "count_close_between_gap", "near_lag_counts"):
+            monkeypatch.setattr(core, name, recorded(name, getattr(core, name)))
         plan = _fig1_plan(reps=4)
         mc._eval_chunk(plan, 0, 100, plan.schedule.epsilon_at(100), 0, plan.reps)
-        assert calls.count("count_close_within") == 2 * plan.reps
-        assert calls.count("count_close_between") == plan.reps
+        assert [name for name, _ in calls] == ["stack"] * 3
+        q11, q20, q02 = (args for _, args in calls)
+        x, y = q11[:2]
+        assert x.shape == y.shape == (plan.reps, 100, 1)
+        assert q20[0] is x and q20[1] is None
+        assert q02[0] is y and q02[1] is None
+        # each piece is counted to the largest gap any estimator asks for
+        assert q11[3] == q20[3] == q02[3] == log_gap(100)
 
     def test_failure_rate_error_names_first_stream(self):
         plan = _iid_q20_plan(

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from qfest.processes import (
+    PROCESS_KINDS,
     BernoulliShuffle,
     ExponentialMarginal,
     GaussianMA,
@@ -18,6 +19,7 @@ from qfest.processes import (
     ProductGauss,
     SeededStream,
     UniformMarginal,
+    _generate_stack,
     generate,
     paired_generate,
     true_marginal_density,
@@ -241,3 +243,30 @@ class TestPairedGenerate:
         x, y = paired_generate(spec, spec, 100_000, SeededStream(43))
         corr = float(np.corrcoef(x[:, 0], y[:, 0])[0, 1])
         assert abs(corr) < 4.0 / math.sqrt(100_000)
+
+
+STACK_SPECS = (
+    GaussianMA(taps=(0.5, -0.5, 0.5), shift=1.0),
+    MinExp(),
+    ProductGauss(),
+    MaxIid(),
+    BernoulliShuffle(),
+    Iid(ExponentialMarginal(2.0)),
+)
+
+
+class TestStackedGeneration:
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.kind)
+    def test_rows_equal_fresh_generators(self, spec):
+        # one generator fills every row; a state carried over from the row
+        # before (bernoulli-shuffle makes two draws per stream) would show
+        streams = [SeededStream(11, 5).child(r) for r in range(6)]
+        for n in (1, 2, 7, 50):
+            stack = _generate_stack(spec, n, streams)
+            assert stack.shape == (len(streams), n, 1)
+            for row, stream in zip(stack, streams):
+                assert np.array_equal(row[:, 0], spec.sample_path(n, stream.generator()))
+            assert np.array_equal(generate(spec, n, streams[3]), stack[3])
+
+    def test_every_kind_is_covered(self):
+        assert sorted(spec.kind for spec in STACK_SPECS) == sorted(PROCESS_KINDS)
