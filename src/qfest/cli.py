@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandwidth import REGIMES, EpsilonSchedule
-from .estimators import EstimationError, count_pairs, estimate_piece, evaluate
+from .estimators import EstimationError, _single_value, count_pairs, estimate_piece
 from .montecarlo import (
     EstimatorSpec,
     ExperimentPlan,
@@ -408,7 +408,7 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
     y = samples[1] if two_sample else None
     counts = count_pairs(kind, x, y, merged["epsilon"], variant, merged["gap"])
     gap = counts.max_gap
-    _print_kv("value", evaluate(counts, kind, gap, merged["clamp"]))
+    _print_kv("value", _single_value(counts, kind, gap, merged["clamp"]))
     if kind == "divergence":
         for piece in ("q20", "q11", "q02"):
             _print_kv(piece, estimate_piece(counts, piece, gap).value)
@@ -625,10 +625,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else 0
         return _HANDLERS[ns.command](ns)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EstimationError as exc:

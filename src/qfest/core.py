@@ -68,27 +68,37 @@ def _check_radius(epsilon) -> float:
     return eps
 
 
+def _check_integer_gap(gap) -> int:
+    """``gap`` as an int; a fractional, infinite or NaN gap is rejected."""
+    try:
+        if int(gap) == gap:
+            return int(gap)
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"gap must be an integer, got {gap!r}")
+
+
 def _check_gap(gap, n: int) -> int:
-    g = int(gap)
-    if g != gap or g < 0:
+    g = _check_integer_gap(gap)
+    if g < 0:
         raise ValueError(f"gap must be a nonnegative integer, got {gap!r}")
     if g >= n:
         raise ValueError(f"gap {g} leaves an empty index set for n={n}")
     return g
 
 
-def _check_same_dim(xp: np.ndarray, yp: np.ndarray) -> None:
+def _pair_points(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the two samples of a cross count: equal dimensions and equal lengths."""
+    xp, yp = as_points(x), as_points(y)
     if xp.shape[1] != yp.shape[1]:
         raise ValueError(
             f"samples have mismatched dimensions {xp.shape[1]} and {yp.shape[1]}"
         )
-
-
-def _check_equal_length(xp: np.ndarray, yp: np.ndarray) -> None:
     if xp.shape[0] != yp.shape[0]:
         raise ValueError(
             f"samples must have equal lengths, got {xp.shape[0]} and {yp.shape[0]}"
         )
+    return xp, yp
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +123,20 @@ def unit_ball_volume(d: int) -> float:
 
 
 def ball_volume(d: int, epsilon: float) -> BallVolume:
-    """Volume of the radius-``epsilon`` ball, ``unit_ball_volume(d) * eps**d``."""
+    """Volume of the radius-``epsilon`` ball, ``unit_ball_volume(d) * eps**d``.
+
+    A radius whose volume overflows or underflows the float range is rejected.
+    """
     eps = float(epsilon)
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValueError(f"radius must be finite and > 0, got {epsilon!r}")
-    return BallVolume(d=int(d), epsilon=eps, volume=unit_ball_volume(d) * eps**d)
+    try:
+        volume = unit_ball_volume(d) * eps**d
+    except OverflowError:
+        volume = math.inf
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"ball volume at d={d}, epsilon={eps!r} is not a positive finite float")
+    return BallVolume(d=int(d), epsilon=eps, volume=volume)
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +527,15 @@ def _near_lags(a: np.ndarray, b: np.ndarray | None, eps2: float, max_gap: int) -
     return near
 
 
-def _close_counts(a: np.ndarray, b: np.ndarray | None, eps: float, max_gap=None, full=True):
+def _close_counts(a: np.ndarray, b: np.ndarray | None, eps: float, max_gap=None):
     """Full and near-lag close-pair counts of each row of the stacks ``a`` and ``b``.
 
     This is the one counting kernel.  ``a`` and ``b`` are (R, n, d) stacks of
     validated samples (``b=None`` counts pairs within ``a``; otherwise ``b``
     matches ``a`` in shape); a single sample is a stack of one.  Returns the
-    per-row full counts (None unless ``full``) and, when ``max_gap`` is given,
-    the per-row counts at each lag 0..max_gap (see ``near_lag_counts``).
+    per-row full counts, shape (R,), and, when ``max_gap`` is given, the
+    close pairs at each index lag h = 0..max_gap, shape (R, max_gap + 1):
+    lag h is j - i = h within ``a`` (lag 0 holds none), |j - i| = h between.
     Squares of huge differences overflow to inf and compare as not close, as
     in the brute force; the overflow is expected, so it is not warned about.
     """
@@ -524,25 +544,12 @@ def _close_counts(a: np.ndarray, b: np.ndarray | None, eps: float, max_gap=None,
     blocks = [
         (a[r : r + step], None if b is None else b[r : r + step]) for r in range(0, len(a), step)
     ]
-    counts = near = None
+    near = None
     with np.errstate(over="ignore"):
-        if full:
-            counts = np.concatenate([_count_close(*rows, eps, eps2) for rows in blocks])
+        counts = np.concatenate([_count_close(*rows, eps, eps2) for rows in blocks])
         if max_gap is not None:
             near = np.concatenate([_near_lags(*rows, eps2, max_gap) for rows in blocks])
     return counts, near
-
-
-def near_lag_counts(a: np.ndarray, b: np.ndarray | None, epsilon: float, max_gap: int):
-    """Close pairs at index lag exactly h, for h = 0..max_gap, as a tuple.
-
-    With ``b=None`` these are the pairs i < j of ``a`` with j - i = h (lag 0
-    holds none); otherwise the ordered cross pairs (a_i, b_j) with
-    |j - i| = h.  The samples must already be validated by ``as_points`` (and
-    ``a``, ``b`` be of equal length), the radius by the caller.
-    """
-    _, near = _close_counts(a[None], None if b is None else b[None], epsilon, max_gap, full=False)
-    return tuple(near[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +570,7 @@ def count_close_within(x, epsilon) -> int:
 
 def count_close_between(x, y, epsilon) -> int:
     """Number of ordered cross pairs (x_i, y_j), all i and j, at distance <= epsilon."""
-    xp = as_points(x)
-    yp = as_points(y)
-    _check_same_dim(xp, yp)
-    _check_equal_length(xp, yp)
+    xp, yp = _pair_points(x, y)
     return _count_one(xp, yp, _check_radius(epsilon))
 
 
@@ -579,9 +583,6 @@ def count_close_within_gap(x, epsilon, gap) -> int:
 
 def count_close_between_gap(x, y, epsilon, gap) -> int:
     """Close ordered cross pairs (x_i, y_j) with index separation |j - i| > gap."""
-    xp = as_points(x)
-    yp = as_points(y)
-    _check_same_dim(xp, yp)
-    _check_equal_length(xp, yp)
+    xp, yp = _pair_points(x, y)
     eps = _check_radius(epsilon)
     return _count_one(xp, yp, eps, _check_gap(gap, xp.shape[0]))

@@ -11,18 +11,24 @@ The estimators turn raw close-pair counts into estimates of the integrals
 
 ``q02`` needs no code of its own: it is ``q20`` applied to the second sample.
 
-Every estimate is arithmetic on one ``PairCounts`` record, counted once per
-sample or pair by ``count_pairs``: ``evaluate`` is the one dispatch from
-(functional, gap) to a value, and each piece is
+Every estimate is arithmetic on one ``PairCounts`` record of count arrays,
+one row per sample or pair: ``evaluate`` is the one dispatch from
+(functional, gap) to the values of all rows at once, and each piece is
 ``raw_count / (pair_count * ball_volume)``, where a gap-restricted count is
 the full count minus the near-lag counts up to the gap.  The value is
 nonnegative and may exceed 1 (it estimates an integral, not a probability).
+
+The Monte Carlo harness evaluates a chunk of replications as one record.  A
+library sample is a stack of one, validated once by ``count_pairs``, and its
+``FunctionalEstimate`` or ``UndefinedEntropyError`` is built from row 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import core
 from .core import as_points, ball_volume
@@ -134,20 +140,22 @@ _KL = {"q20": (2, 0), "q11": (1, 1), "q02": (0, 2)}
 
 @dataclass(frozen=True)
 class PairCounts:
-    """The close-pair counts behind every estimate on one sample or pair.
+    """The close-pair counts behind every estimate on a stack of R samples or pairs.
 
-    ``full[piece]`` is the complete count of ``q20`` (pairs within x), ``q02``
-    (pairs within y) or ``q11`` (ordered cross pairs).  ``near[piece][h]`` is
-    the number of those close pairs at index lag exactly h, for
-    h = 0..max_gap; ``max_gap`` is None when only complete counts were made.
+    ``full[piece]``, shape (R,), holds each row's complete count of ``q20``
+    (pairs within x), ``q02`` (pairs within y) or ``q11`` (ordered cross
+    pairs).  ``near[piece][r, h]`` is the number of those close pairs of row r
+    at index lag exactly h, for h = 0..max_gap; ``near[piece]`` and
+    ``max_gap`` are None when only complete counts were made.  A library
+    sample is a stack of one.
     """
 
     n: int
     d: int
     epsilon: float
     max_gap: int | None
-    full: dict[str, int]
-    near: dict[str, tuple[int, ...]]
+    full: dict[str, np.ndarray]
+    near: dict[str, np.ndarray | None]
 
 
 def count_pairs(functional, x, y, epsilon, variant="complete", gap=None) -> PairCounts:
@@ -156,38 +164,27 @@ def count_pairs(functional, x, y, epsilon, variant="complete", gap=None) -> Pair
     ``functional`` is q20, q11, divergence or renyi2; ``y`` is the second
     sample of q11 and divergence.  The incomplete variant also counts the
     near lags up to ``gap``, an integer, by default floor(log n) of the sample
-    estimated; the complete variant takes no gap.
+    estimated; the complete variant takes no gap.  ``EstimateConfig`` checks
+    the radius, the variant and the gap.  The record is a stack of one.
     """
     if functional not in _PIECES:
         raise ValueError(f"functional must be one of {tuple(_PIECES)}, got {functional!r}")
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     pieces = _PIECES[functional]
-    xp = as_points(x)
-    yp = as_points(y) if "q11" in pieces else None
+    xp, yp = core._pair_points(x, y) if "q11" in pieces else (as_points(x), None)
     n = xp.shape[0]
     if n < 2 and (functional != "q11" or variant == "incomplete"):
         raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    g = None
-    if gap is not None:
-        if variant == "complete":
-            raise ValueError("complete variant takes no gap")
-        g = int(gap)
-        if g != gap:
-            raise ValueError(f"gap must be an integer, got {gap!r}")
+    g = None if gap is None else core._check_integer_gap(gap)
     if variant == "incomplete":
         g = log_gap(n) if g is None else g
         if g >= n - 1:
             raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
     eps = EstimateConfig(*_KL[pieces[0]], float(epsilon), variant, g).epsilon
-    if yp is not None:
-        core._check_same_dim(xp, yp)
-        core._check_equal_length(xp, yp)
-    return _count_stack(functional, xp[None], None if yp is None else yp[None], eps, g)[0]
+    return _count_stack(functional, xp[None], None if yp is None else yp[None], eps, g)
 
 
-def _count_stack(functional, xs, ys, eps: float, gap: int | None) -> list[PairCounts]:
-    """Count the pieces of ``functional`` once over stacks of samples: one record per row.
+def _count_stack(functional, xs, ys, eps: float, gap: int | None) -> PairCounts:
+    """Count the pieces of ``functional`` once over stacks of samples.
 
     ``xs`` and ``ys`` are (R, n, d) stacks of validated samples (``ys`` is
     None unless a piece needs it), and row r of ``xs`` is paired with row r
@@ -198,61 +195,81 @@ def _count_stack(functional, xs, ys, eps: float, gap: int | None) -> list[PairCo
     full, near = {}, {}
     for piece in _PIECES[functional]:
         a, b = samples[piece]
-        counts, lags = core._close_counts(a, b, eps, gap)
-        full[piece] = counts.tolist()
-        if lags is not None:
-            near[piece] = [tuple(row) for row in lags.tolist()]
-    rows, n, d = xs.shape
-    return [
-        PairCounts(
-            n, d, eps, gap, {p: c[r] for p, c in full.items()}, {p: c[r] for p, c in near.items()}
-        )
-        for r in range(rows)
-    ]
+        full[piece], near[piece] = core._close_counts(a, b, eps, gap)
+    _, n, d = xs.shape
+    return PairCounts(n, d, eps, gap, full, near)
 
 
-def estimate_piece(counts: PairCounts, piece: str, gap: int | None = None) -> FunctionalEstimate:
-    """The q20, q11 or q02 estimate of a count record; gap None is the complete variant."""
+def _piece_counts(counts: PairCounts, piece: str, gap: int | None):
+    """Each row's count of one piece, shape (R,), and the normalizer they share.
+
+    The normalizer is the number of eligible index pairs times the ball
+    volume; gap None is the complete variant.
+    """
     n = counts.n
     count = counts.full[piece]
     if gap is None:
-        config = EstimateConfig(*_KL[piece], counts.epsilon)
         pairs = float(n) ** 2 if piece == "q11" else math.comb(n, 2)
     else:
         if counts.max_gap is None or gap > counts.max_gap:
             raise ValueError(f"no near-lag counts up to gap {gap} (counted to {counts.max_gap})")
-        config = EstimateConfig(*_KL[piece], counts.epsilon, "incomplete", gap)
-        count -= sum(counts.near[piece][: gap + 1])
+        count = count - counts.near[piece][:, : gap + 1].sum(axis=1)
         pairs = (2 if piece == "q11" else 1) * math.comb(n - gap, 2)
     normalizer = pairs * ball_volume(counts.d, counts.epsilon).volume
-    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+    if not 0.0 < normalizer < math.inf:
+        raise ValueError(
+            f"normalizer at d={counts.d}, epsilon={counts.epsilon!r} is not a positive finite float"
+        )
+    return count, normalizer
+
+
+def estimate_piece(counts: PairCounts, piece: str, gap: int | None = None) -> FunctionalEstimate:
+    """The q20, q11 or q02 estimate of row 0 of a count record; gap None is the complete variant."""
+    count, normalizer = _piece_counts(counts, piece, gap)
+    variant = "complete" if gap is None else "incomplete"
+    config = EstimateConfig(*_KL[piece], counts.epsilon, variant, gap)
+    raw_count = int(count[0])
+    return FunctionalEstimate(raw_count / normalizer, raw_count, normalizer, config)
 
 
 def evaluate(
     counts: PairCounts, functional: str, gap: int | None = None, clamp_nonnegative: bool = False
-) -> float:
-    """The value of one functional on a count record; gap None is the complete variant.
+) -> np.ndarray:
+    """The value of one functional on each row of a count record, shape (R,).
 
     ``functional`` is a piece (q20, q11, q02), ``divergence`` (q20 - 2*q11 +
-    q02, floored at zero with ``clamp_nonnegative``) or ``renyi2`` (-log q20).
+    q02, floored at zero with ``clamp_nonnegative``) or ``renyi2`` (-log q20,
+    NaN on a row without close pairs); gap None is the complete variant.
+    Each value rounds as on Python floats: an overflow gives inf (or NaN from
+    inf - inf) without a warning.
     """
-    if functional == "divergence":
-        value = (
-            estimate_piece(counts, "q20", gap).value
-            - 2.0 * estimate_piece(counts, "q11", gap).value
-            + estimate_piece(counts, "q02", gap).value
-        )
-        if clamp_nonnegative and value < 0.0:
-            return 0.0
-        return value
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = {}
+        for piece in _PIECES.get(functional, (functional,)):
+            count, normalizer = _piece_counts(counts, piece, gap)
+            q[piece] = count / normalizer
+        if functional == "divergence":
+            value = q["q20"] - 2.0 * q["q11"] + q["q02"]
+            if clamp_nonnegative:
+                value[value < 0.0] = 0.0
+            return value
     if functional == "renyi2":
-        est = estimate_piece(counts, "q20", gap)
-        if est.raw_count == 0:
-            raise UndefinedEntropyError(
-                f"no close pairs at epsilon={counts.epsilon}; entropy estimate undefined"
-            )
-        return -math.log(est.value)
-    return estimate_piece(counts, functional, gap).value
+        # a finite normalizer leaves a value of 0 only to a row without close
+        # pairs; math.log, not np.log, which rounds differently on some inputs
+        return np.array([-math.log(v) if v else math.nan for v in q["q20"].tolist()])
+    return q[functional]
+
+
+def _single_value(
+    counts: PairCounts, functional: str, gap: int | None = None, clamp_nonnegative: bool = False
+) -> float:
+    """The value of ``functional`` on a stack of one; a renyi2 without close pairs raises."""
+    value = float(evaluate(counts, functional, gap, clamp_nonnegative)[0])
+    if functional == "renyi2" and math.isnan(value):
+        raise UndefinedEntropyError(
+            f"no close pairs at epsilon={counts.epsilon}; entropy estimate undefined"
+        )
+    return value
 
 
 def estimate_q20(x, epsilon) -> FunctionalEstimate:
@@ -298,10 +315,10 @@ def estimate_divergence(
     ``clamp_nonnegative=True`` to floor it at zero.
     """
     counts = count_pairs("divergence", x, y, epsilon, variant, gap)
-    return evaluate(counts, "divergence", counts.max_gap, clamp_nonnegative)
+    return _single_value(counts, "divergence", counts.max_gap, clamp_nonnegative)
 
 
 def estimate_renyi2(x, epsilon, variant: str = "complete", gap=None) -> float:
     """Quadratic (collision) entropy estimate, -log of the q20 estimate."""
     counts = count_pairs("renyi2", x, None, epsilon, variant, gap)
-    return evaluate(counts, "renyi2", counts.max_gap)
+    return _single_value(counts, "renyi2", counts.max_gap)

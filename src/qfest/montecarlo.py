@@ -14,7 +14,8 @@ replications are recorded; a run aborts if more than 0.1% of them fail.
 
 Replications run in fixed-size chunks.  A chunk's draws are generated as row
 stacks, one row per replication, and each piece is counted once over the
-whole stack by the same count step the library uses on a stack of one, so
+whole stack by the same count step the library uses on a stack of one, into
+one record of count arrays that each estimator evaluates in one call, so
 every value equals the library estimate on the same draw bit for bit.
 
 Bias is measured against the limit functional, not its radius-smoothed
@@ -259,8 +260,7 @@ def _eval_chunk(plan: ExperimentPlan, gi: int, n: int, eps: float, r0: int, r1: 
 
     The draws are generated as row stacks, one row per replication, and each
     piece is counted once over the whole stack, to the largest gap any
-    estimator asks for.  Every estimator is then evaluated on each row's
-    count record.
+    estimator asks for, and each estimator is evaluated on all rows at once.
     """
     gaps = [e.gap_rule.at(n) if e.variant == "incomplete" else None for e in plan.estimators]
     max_gap = max((g for g in gaps if g is not None), default=None)
@@ -270,14 +270,8 @@ def _eval_chunk(plan: ExperimentPlan, gi: int, n: int, eps: float, r0: int, r1: 
         ys = _generate_stack(plan.process_y, n, [s.child(1) for s in streams])
     else:
         xs, ys = _generate_stack(plan.process_x, n, streams), None
-    out = np.full((len(plan.estimators), r1 - r0), np.nan)
-    for j, counts in enumerate(est._count_stack(plan.functional, xs, ys, eps, max_gap)):
-        for e_i, gap in enumerate(gaps):
-            try:
-                out[e_i, j] = est.evaluate(counts, plan.functional, gap)
-            except EstimationError:
-                pass
-    return out
+    counts = est._count_stack(plan.functional, xs, ys, eps, max_gap)
+    return np.array([est.evaluate(counts, plan.functional, gap) for gap in gaps])
 
 
 def _draw_streams(plan: ExperimentPlan, gi: int, r: int) -> str:

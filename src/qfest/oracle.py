@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_points, ball_volume
+from .core import _pair_points, as_points, ball_volume
 from .estimators import (
     AsymptoticVariance,
     EstimateConfig,
@@ -321,12 +321,7 @@ def naive_q20(x, epsilon) -> FunctionalEstimate:
 
 def naive_q11(x, y, epsilon) -> FunctionalEstimate:
     """Reference double-loop version of ``estimate_q11``."""
-    xp = as_points(x)
-    yp = as_points(y)
-    if xp.shape[1] != yp.shape[1]:
-        raise ValueError("samples have mismatched dimensions")
-    if xp.shape[0] != yp.shape[0]:
-        raise ValueError("samples must have equal lengths")
+    xp, yp = _pair_points(x, y)
     config = EstimateConfig(k=1, l=1, epsilon=float(epsilon))
     eps2 = config.epsilon * config.epsilon
     count = 0
@@ -357,12 +352,7 @@ def naive_q20_incomplete(x, epsilon, gap=None) -> FunctionalEstimate:
 
 def naive_q11_incomplete(x, y, epsilon, gap=None) -> FunctionalEstimate:
     """Reference double-loop version of ``estimate_q11_incomplete``."""
-    xp = as_points(x)
-    yp = as_points(y)
-    if xp.shape[1] != yp.shape[1]:
-        raise ValueError("samples have mismatched dimensions")
-    if xp.shape[0] != yp.shape[0]:
-        raise ValueError("samples must have equal lengths")
+    xp, yp = _pair_points(x, y)
     n = xp.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 observations, got {n}")

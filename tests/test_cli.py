@@ -92,6 +92,16 @@ class TestEstimate:
         code = main(["estimate", path, "--functional", "renyi2", "--epsilon", "0.01"])
         assert code == 3
 
+    @pytest.mark.parametrize(("d", "eps"), [(2, "1e200"), (3, "1e-110")],
+                             ids=["overflow", "underflow"])
+    def test_volume_beyond_the_float_range_is_input_error(self, tmp_path, capsys, d, eps):
+        path = tmp_path / "x.csv"
+        rows = np.random.default_rng(114).random((20, d))
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        code = main(["estimate", str(path), "--functional", "q20", "--epsilon", eps])
+        assert code == 2
+        assert f"d={d}, epsilon={float(eps)!r}" in capsys.readouterr().err
+
     def test_insufficient_data_is_computation_error(self, tmp_path, capsys):
         path = _write_sample(tmp_path, "x.csv", [0.0])
         code = main(["estimate", path, "--functional", "q20", "--epsilon", "1"])

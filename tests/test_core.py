@@ -1,6 +1,7 @@
 """Counting-layer tests: geometry, dispatch equality, and index-set sizes."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -53,6 +54,11 @@ class TestBallVolume:
         with pytest.raises(ValueError):
             ball_volume(2, bad)
 
+    @pytest.mark.parametrize(("d", "eps"), [(2, 1e200), (3, 1e-110)], ids=["overflow", "underflow"])
+    def test_rejects_a_volume_beyond_the_float_range(self, d, eps):
+        with pytest.raises(ValueError, match=re.escape(f"d={d}, epsilon={eps!r}")):
+            ball_volume(d, eps)
+
     @pytest.mark.parametrize("bad", [0, -1, 1.5])
     def test_rejects_bad_dimension(self, bad):
         with pytest.raises(ValueError):
@@ -91,6 +97,14 @@ class TestValidation:
     def test_gap_too_large(self):
         with pytest.raises(ValueError):
             count_close_within_gap([0.0, 1.0, 2.0], 1.0, 3)
+
+    @pytest.mark.parametrize("gap", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_gap_is_rejected(self, gap):
+        x = np.arange(20.0)
+        with pytest.raises(ValueError, match="gap must be an integer"):
+            count_close_within_gap(x, 0.5, gap)
+        with pytest.raises(ValueError, match="gap must be an integer"):
+            count_close_between_gap(x, x, 0.5, gap)
 
 
 class TestCountExamples:
@@ -454,7 +468,8 @@ class TestStacks:
         full, near = core._close_counts(a, b, 1.0, 4)
         for r in range(len(a)):
             assert full[r] == count_close_between(a[r], b[r], 1.0)
-            assert tuple(near[r]) == core.near_lag_counts(a[r], b[r], 1.0, 4)
+            _, one = core._close_counts(a[r][None], b[r][None], 1.0, 4)
+            assert near[r].tolist() == one[0].tolist()
 
 
 def _oracle_counts(x, y, eps):
@@ -589,8 +604,8 @@ class TestGapIdentities:
 
     def test_full_minus_near_lags_is_gap_count(self):
         for x, y, eps in _identity_instances():
-            near_w = core.near_lag_counts(as_points(x), None, eps, 10)
-            near_b = core.near_lag_counts(as_points(x), as_points(y), eps, 10)
+            _, (near_w,) = core._close_counts(as_points(x)[None], None, eps, 10)
+            _, (near_b,) = core._close_counts(as_points(x)[None], as_points(y)[None], eps, 10)
             full_w = count_close_within(x, eps)
             full_b = count_close_between(x, y, eps)
             for g in range(11):

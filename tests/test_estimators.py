@@ -1,22 +1,34 @@
 """Estimator-layer tests: fixtures, algebraic identities, and oracle equality."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from qfest import oracle
+from qfest.core import (
+    count_close_between,
+    count_close_between_gap,
+    count_close_within,
+    count_close_within_gap,
+    unit_ball_volume,
+)
 from qfest.estimators import (
     AsymptoticVariance,
     EstimateConfig,
     InsufficientDataError,
+    PairCounts,
     UndefinedEntropyError,
+    _count_stack,
     estimate_divergence,
     estimate_q11,
     estimate_q11_incomplete,
     estimate_q20,
     estimate_q20_incomplete,
     estimate_renyi2,
+    evaluate,
     log_gap,
     sqrt_gap,
 )
@@ -151,6 +163,11 @@ class TestIncomplete:
             estimate_q20_incomplete(x, 0.5, 2.7)
         with pytest.raises(ValueError, match="gap must be an integer"):
             estimate_q11_incomplete(x, x, 0.5, 2.5)
+        for gap in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="gap must be an integer"):
+                estimate_q20_incomplete(x, 0.5, gap)
+            with pytest.raises(ValueError, match="gap must be an integer"):
+                estimate_divergence(x, x, 0.5, "incomplete", gap)
 
     def test_numpy_integer_gap_is_accepted(self):
         rng = np.random.default_rng(109)
@@ -236,6 +253,108 @@ class TestRenyi2:
         rng = np.random.default_rng(109)
         x = rng.normal(size=5000)
         assert estimate_renyi2(x, 0.05) == pytest.approx(1.2655121234846454, abs=0.06)
+
+
+class TestRadiusExtremes:
+    @pytest.mark.parametrize(("d", "eps"), [(2, 1e200), (3, 1e-110)], ids=["overflow", "underflow"])
+    def test_volume_beyond_the_float_range_is_rejected(self, d, eps):
+        x = np.random.default_rng(110).random((20, d))
+        with pytest.raises(ValueError, match=re.escape(f"d={d}, epsilon={eps!r}")):
+            estimate_q20(x, eps)
+
+    def test_normalizer_overflow_is_rejected(self):
+        # the ball volume 2e307 is finite, but comb(20, 2) times it is not
+        x = np.random.default_rng(111).random(20)
+        with pytest.raises(ValueError, match=re.escape("d=1, epsilon=1e+307")):
+            estimate_q20(x, 1e307)
+
+    def test_tiny_finite_normalizer_gives_inf(self):
+        x = np.random.default_rng(112).random((20, 2)) * 1e-160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_q20(x, 1e-158)
+            stacked = evaluate(_count_stack("q20", x[None], None, 1e-158, None), "q20")
+            renyi2 = estimate_renyi2(x, 1e-158)
+        assert est.raw_count == 190
+        assert est.value == math.inf
+        assert stacked.tolist() == [math.inf]
+        assert renyi2 == -math.inf
+
+
+class TestStackedEvaluate:
+    """Each row of a stacked evaluation equals Python-float arithmetic on its own counts."""
+
+    @staticmethod
+    def _stack(d):
+        rng = np.random.default_rng(113)
+        n = 16
+        grid = np.arange(n, dtype=float)
+        x = [grid * 10, rng.normal(size=n), grid * 2, np.zeros(n), rng.normal(size=n)]
+        y = [grid * 10 + 1000, rng.normal(size=n) + 0.5, grid * 2 + 0.9, rng.normal(size=n),
+             rng.normal(size=n) * 0.3]
+        # row 0 has no close pair, row 2 only cross pairs (a negative divergence)
+        xs, ys = np.array(x)[..., None], np.array(y)[..., None]
+        if d == 2:
+            xs = np.concatenate([xs, rng.random(xs.shape) * 0.1], axis=2)
+            ys = np.concatenate([ys, rng.random(ys.shape) * 0.1], axis=2)
+        return xs, ys
+
+    @staticmethod
+    def _reference(x, y, eps, functional, gap, clamp):
+        n, d = x.shape
+        vol = unit_ball_volume(d) * eps**d
+
+        def piece(name):
+            if name == "q11":
+                count = count_close_between(x, y, eps) if gap is None else (
+                    count_close_between_gap(x, y, eps, gap))
+                pairs = float(n) ** 2 if gap is None else 2 * math.comb(n - gap, 2)
+            else:
+                sample = x if name == "q20" else y
+                count = count_close_within(sample, eps) if gap is None else (
+                    count_close_within_gap(sample, eps, gap))
+                pairs = math.comb(n, 2) if gap is None else math.comb(n - gap, 2)
+            return count / (pairs * vol)
+
+        if functional == "divergence":
+            value = piece("q20") - 2.0 * piece("q11") + piece("q02")
+            return 0.0 if clamp and value < 0.0 else value
+        if functional == "renyi2":
+            q20 = piece("q20")
+            return -math.log(q20) if q20 > 0.0 else math.nan
+        return piece(functional)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rows_match_python_floats(self, d):
+        xs, ys = self._stack(d)
+        eps, max_gap = 1.0, 4
+        cases = [("q20", False), ("q11", False), ("q02", False), ("divergence", False),
+                 ("divergence", True), ("renyi2", False)]
+        for functional, clamp in cases:
+            kind = "divergence" if functional in ("q11", "q02") else functional
+            counts = _count_stack(kind, xs, ys, eps, max_gap)
+            for gap in (None, *range(max_gap + 1)):
+                values = evaluate(counts, functional, gap, clamp)
+                assert values.shape == (len(xs),)
+                for r, value in enumerate(values.tolist()):
+                    want = self._reference(xs[r], ys[r], eps, functional, gap, clamp)
+                    assert repr(value) == repr(want), (functional, clamp, gap, r)
+        # the stack mixes rows with and without close pairs
+        renyi = evaluate(_count_stack("renyi2", xs, ys, eps, max_gap), "renyi2")
+        assert np.isnan(renyi[0]) and np.isnan(renyi[2]) and np.isfinite(renyi[1])
+        divergence = evaluate(_count_stack("divergence", xs, ys, eps, max_gap), "divergence")
+        assert divergence[2] < 0.0
+
+    def test_renyi2_rows_take_math_log(self):
+        # np.log rounds differently from math.log on some of these values
+        n, eps = 1000, 0.05
+        full = np.arange(20001)
+        counts = PairCounts(n, 1, eps, None, {"q20": full}, {"q20": None})
+        values = evaluate(counts, "renyi2").tolist()
+        assert math.isnan(values[0])
+        vol = unit_ball_volume(1) * eps
+        for count, value in zip(full.tolist()[1:], values[1:]):
+            assert value == -math.log(count / (math.comb(n, 2) * vol))
 
 
 class TestScaleCovariance:

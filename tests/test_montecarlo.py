@@ -451,7 +451,7 @@ class TestCountOnce:
 
         monkeypatch.setattr(core, "_close_counts", recorded("stack", core._close_counts))
         for name in ("count_close_within", "count_close_between",
-                     "count_close_within_gap", "count_close_between_gap", "near_lag_counts"):
+                     "count_close_within_gap", "count_close_between_gap"):
             monkeypatch.setattr(core, name, recorded(name, getattr(core, name)))
         plan = _fig1_plan(reps=4)
         mc._eval_chunk(plan, 0, 100, plan.schedule.epsilon_at(100), 0, plan.reps)
@@ -463,6 +463,27 @@ class TestCountOnce:
         assert q02[0] is y and q02[1] is None
         # each piece is counted to the largest gap any estimator asks for
         assert q11[3] == q20[3] == q02[3] == log_gap(100)
+
+    def test_chunk_builds_no_config_or_estimate(self, monkeypatch):
+        # validation stays at the public boundary: a chunk's values are
+        # arithmetic on its count record, with no per-replication record
+        built = []
+
+        def recorded(cls):
+            def build(*args, **kwargs):
+                built.append(cls.__name__)
+                return cls(*args, **kwargs)
+
+            return build
+
+        for cls in (mc.est.EstimateConfig, mc.est.FunctionalEstimate):
+            monkeypatch.setattr(mc.est, cls.__name__, recorded(cls))
+        plan = _fig1_plan(reps=4)
+        values = mc._eval_chunk(plan, 0, 100, plan.schedule.epsilon_at(100), 0, plan.reps)
+        assert values.shape == (len(plan.estimators), plan.reps)
+        assert built == []
+        mc.est.estimate_q20([0.0, 0.5], 1.0)  # the library boundary still builds both
+        assert set(built) == {"EstimateConfig", "FunctionalEstimate"}
 
     def test_failure_rate_error_names_first_stream(self):
         plan = _iid_q20_plan(
@@ -479,8 +500,8 @@ class TestCountOnce:
     def test_failure_rate_error_streams_regenerate_the_draw(
         self, tmp_path, capsys, monkeypatch, paired
     ):
-        def failing(*args):
-            raise EstimationError("forced failure")
+        def failing(counts, *args):
+            return np.full(len(counts.full["q20"]), np.nan)
 
         monkeypatch.setattr(mc.est, "evaluate", failing)
         if paired:
