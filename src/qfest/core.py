@@ -283,6 +283,39 @@ def _close_in_ranges(
 # ---------------------------------------------------------------------------
 
 
+def _gallop(inside: np.ndarray, limit: np.ndarray, step: int, holds) -> np.ndarray:
+    """The first position past ``inside`` in direction ``step`` where ``holds`` fails.
+
+    ``holds(pos, which)`` is a predicate of the queries ``which`` at the flat
+    positions ``pos``; it holds at each query's ``inside`` and, going in the
+    direction of ``step`` (+1 or -1), holds on a run and then fails for good.
+    ``limit`` is each query's first position out of its row, where the answer
+    stops.  Strides double until they pass the run's end, which is then
+    bisected, so an end k positions away costs O(log k) rounds.
+    """
+    inside = inside.copy()
+    outside = limit.copy()
+    active = np.arange(inside.size)
+    while active.size:  # gallop: strides 1, 2, 4, ... until one fails
+        probe = inside[active] + step
+        within = (probe - limit[active]) * step < 0
+        ok = np.zeros(active.size, dtype=bool)
+        ok[within] = holds(probe[within], active[within])
+        inside[active[ok]] = probe[ok]
+        stop = within & ~ok
+        outside[active[stop]] = probe[stop]
+        active = active[ok]
+        step *= 2
+    active = np.flatnonzero(np.abs(outside - inside) > 1)
+    while active.size:  # bisect the bracket [inside, outside)
+        mid = (inside[active] + outside[active]) // 2
+        ok = holds(mid, active)
+        inside[active[ok]] = mid[ok]
+        outside[active[~ok]] = mid[~ok]
+        active = active[np.abs(outside[active] - inside[active]) > 1]
+    return outside
+
+
 def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.ndarray:
     """One past the close run of each query of ``q`` in its own row of ``xs``.
 
@@ -290,34 +323,41 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     queries; the queries of row r are windowed in row r of ``xs`` only.  The
     end is the first value above the query that fails ``diff*diff <= eps2``.
     Rounding is monotone, so the predicate holds on a contiguous run of a
-    sorted row; each row's searchsorted guess ``q + eps`` is then grown or
-    shrunk past the values where the exact predicate disagrees with it.  Both
-    loops run over the flattened stack at once, and each end stops at its own
-    row's bounds.
+    sorted row.  Each row's searchsorted guess ``q + eps`` is checked once,
+    for the whole stack, against the values on both sides of it; only the
+    queries where the exact predicate disagrees are then grown or shrunk, by
+    galloping, each stopping at its own row's bounds.
     """
     rows, n = xs.shape
-    m = q.shape[1]
     first = np.arange(0, rows * n, n)[:, None]  # each row's offset in the flattened stack
     guess = q + eps
-    found = [xs[r].searchsorted(guess[r], side="right") for r in range(rows)]
-    ends = found[0][None] if rows == 1 else np.stack(found)  # one row needs no copy
-    ends += first
-    flat_x, flat_q, flat = xs.ravel(), q.ravel(), ends.ravel()
-    active = np.flatnonzero(ends < first + n)
-    while active.size:
-        diff = flat_x[flat[active]] - flat_q[active]
-        active = active[diff * diff <= eps2]
-        flat[active] += 1
-        active = active[flat[active] < (active // m + 1) * n]
-    active = np.flatnonzero(ends > first)
-    while active.size:
-        last = flat_x[flat[active] - 1]
-        diff = last - flat_q[active]
-        active = active[(last > flat_q[active]) & ~(diff * diff <= eps2)]
-        flat[active] -= 1
-        active = active[flat[active] > active // m * n]
-    ends -= first
-    return ends
+    found = [x.searchsorted(g, side="right") for x, g in zip(xs, guess)]
+    ends = found[0][None] if rows == 1 else np.concatenate(found).reshape(guess.shape)
+    flat_x, flat_q = xs.ravel(), q.ravel()
+
+    def close(x, qv):
+        diff = x - qv
+        return diff * diff <= eps2
+
+    def beyond(x, qv):  # above the query and not close
+        return (x > qv) & ~close(x, qv)
+
+    flat = (ends + first).ravel()
+    grow = np.flatnonzero((ends < n).ravel() & close(flat_x.take(flat, mode="clip"), flat_q))
+    before = flat_x.take(flat - 1, mode="clip")
+    shrink = np.flatnonzero((ends > 0).ravel() & beyond(before, flat_q))
+    m = q.shape[1]
+    if grow.size:  # up to the end of the query's row
+        flat[grow] = _gallop(
+            flat[grow], (grow // m + 1) * n, 1,
+            lambda pos, k: close(flat_x[pos], flat_q[grow[k]]),
+        )
+    if shrink.size:  # down to one before the start of the query's row
+        flat[shrink] = 1 + _gallop(
+            flat[shrink] - 1, shrink // m * n - 1, -1,
+            lambda pos, k: beyond(flat_x[pos], flat_q[shrink[k]]),
+        )
+    return flat.reshape(ends.shape) - first
 
 
 def _window_bounds(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float):

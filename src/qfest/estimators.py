@@ -263,11 +263,20 @@ def evaluate(
 def _single_value(
     counts: PairCounts, functional: str, gap: int | None = None, clamp_nonnegative: bool = False
 ) -> float:
-    """The value of ``functional`` on a stack of one; a renyi2 without close pairs raises."""
+    """The value of ``functional`` on a stack of one; a NaN value raises.
+
+    A renyi2 value is NaN only without close pairs.  A divergence is NaN when
+    its pieces overflow to inf (inf - 2*inf + inf), at a radius tiny against
+    the normalizer's float range.
+    """
     value = float(evaluate(counts, functional, gap, clamp_nonnegative)[0])
-    if functional == "renyi2" and math.isnan(value):
-        raise UndefinedEntropyError(
-            f"no close pairs at epsilon={counts.epsilon}; entropy estimate undefined"
+    if math.isnan(value):
+        if functional == "renyi2":
+            raise UndefinedEntropyError(
+                f"no close pairs at epsilon={counts.epsilon}; entropy estimate undefined"
+            )
+        raise ValueError(
+            f"{functional} pieces overflow the float range at epsilon={counts.epsilon!r}"
         )
     return value
 
@@ -312,7 +321,8 @@ def estimate_divergence(
     All three components use the same epsilon, variant, and gap; q02 is the
     within-sample estimator applied to ``y``.  The raw value may be negative
     in finite samples and is reported as computed; pass
-    ``clamp_nonnegative=True`` to floor it at zero.
+    ``clamp_nonnegative=True`` to floor it at zero.  Pieces that overflow to
+    inf make the value undefined, and raise a ``ValueError``.
     """
     counts = count_pairs("divergence", x, y, epsilon, variant, gap)
     return _single_value(counts, "divergence", counts.max_gap, clamp_nonnegative)

@@ -12,11 +12,13 @@ fixed order with exact (compensated) summation, so results are bit-identical
 for any worker count and any execution order.  Failures of single
 replications are recorded; a run aborts if more than 0.1% of them fail.
 
-Replications run in fixed-size chunks.  A chunk's draws are generated as row
-stacks, one row per replication, and each piece is counted once over the
-whole stack by the same count step the library uses on a stack of one, into
-one record of count arrays that each estimator evaluates in one call, so
-every value equals the library estimate on the same draw bit for bit.
+Replications run in fixed-size chunks.  A chunk's stream ids are derived in
+one array pass, and its draws are generated as row stacks, one row per
+replication: per-row driving draws, then one transform over the stack.  Each
+piece is counted once over the whole stack by the same count step the library
+uses on a stack of one, into one record of count arrays that each estimator
+evaluates in one call, so every value equals the library estimate on the same
+draw bit for bit.
 
 Bias is measured against the limit functional, not its radius-smoothed
 version: that is the estimand of the convergence statements being verified.
@@ -37,7 +39,7 @@ from . import estimators as est
 from . import oracle
 from .bandwidth import EpsilonSchedule
 from .estimators import AsymptoticVariance, EstimationError
-from .processes import SeededStream, _generate_stack
+from .processes import SeededStream, _child_ids, _generate_stack
 
 CSV_HEADER = "estimator,process,n,d,epsilon,gap,reps,mse,bias2,variance,se_mse,seed"
 PLOT_HEADER = "log_n,log_mse,fit_line"
@@ -264,12 +266,12 @@ def _eval_chunk(plan: ExperimentPlan, gi: int, n: int, eps: float, r0: int, r1: 
     """
     gaps = [e.gap_rule.at(n) if e.variant == "incomplete" else None for e in plan.estimators]
     max_gap = max((g for g in gaps if g is not None), default=None)
-    streams = [SeededStream(plan.seed).child(gi, r) for r in range(r0, r1)]
+    ids = _child_ids(SeededStream(plan.seed).stream, gi, np.arange(r0, r1))
     if plan.process_y is not None:
-        xs = _generate_stack(plan.process_x, n, [s.child(0) for s in streams])
-        ys = _generate_stack(plan.process_y, n, [s.child(1) for s in streams])
+        xs = _generate_stack(plan.process_x, n, plan.seed, _child_ids(ids, 0))
+        ys = _generate_stack(plan.process_y, n, plan.seed, _child_ids(ids, 1))
     else:
-        xs, ys = _generate_stack(plan.process_x, n, streams), None
+        xs, ys = _generate_stack(plan.process_x, n, plan.seed, ids), None
     counts = est._count_stack(plan.functional, xs, ys, eps, max_gap)
     return np.array([est.evaluate(counts, plan.functional, gap) for gap in gaps])
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _pair_points, as_points, ball_volume
+from .core import _check_integer_gap, _pair_points, as_points, ball_volume
 from .estimators import (
     AsymptoticVariance,
     EstimateConfig,
@@ -35,6 +35,7 @@ from .processes import (
     ExponentialMarginal,
     NormalMarginal,
     SeededStream,
+    generate,
     paired_generate,
     true_marginal_density,
 )
@@ -259,7 +260,7 @@ def sigma2_oracle(
         if spec is None:
             raise ValueError("functional (0, 2) requires spec_y")
         marginal = _require_marginal(spec)
-        path = spec.sample_path(reps, stream.generator())
+        path = generate(spec, reps, stream)[:, 0]
         series = np.asarray(marginal.pdf(path), dtype=float)
         m = spec.m
     elif functional == (1, 1):
@@ -338,7 +339,7 @@ def naive_q20_incomplete(x, epsilon, gap=None) -> FunctionalEstimate:
     n = pts.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    g = log_gap(n) if gap is None else int(gap)
+    g = log_gap(n) if gap is None else _check_integer_gap(gap)
     if g >= n - 1:
         raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
     config = EstimateConfig(k=2, l=0, epsilon=float(epsilon), variant="incomplete", gap=g)
@@ -356,7 +357,7 @@ def naive_q11_incomplete(x, y, epsilon, gap=None) -> FunctionalEstimate:
     n = xp.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    g = log_gap(n) if gap is None else int(gap)
+    g = log_gap(n) if gap is None else _check_integer_gap(gap)
     if g >= n - 1:
         raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
     config = EstimateConfig(k=1, l=1, epsilon=float(epsilon), variant="incomplete", gap=g)

@@ -6,11 +6,18 @@ density in closed form.  Generators draw ``n + m`` driving variables so that
 the first emitted observation already has the stationary law; no further
 burn-in is needed for these finite-window constructions.
 
+Samples are generated as stacks, one row per stream: each process kind makes
+its driving draws row by row into one preallocated buffer, then turns the
+whole buffer into observations with one vectorized transform (the moving
+sum, running minimum, product, maximum or shuffle).  A single sample is a
+stack of one.
+
 Reproducibility contract: a :class:`SeededStream` is a (seed, stream) pair
 fed to a counter-based generator, so (seed, stream, counter) -> value is a
 pure function, identical across platforms and execution orders.  Children
 derived with :meth:`SeededStream.child` give independent substreams for
-paired samples and for Monte Carlo replications.
+paired samples and for Monte Carlo replications; ``_child_ids`` derives the
+same ids for a whole array of replications at once.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# A transform's scratch buffers hold about this many values (one row at least).
+_FILL_BLOCK = 2**14
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -30,6 +39,36 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _splitmix64_ids(z: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` over a uint64 array, whose arithmetic wraps mod 2**64 as the mask does."""
+    z = z + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _as_ids(v) -> np.ndarray:
+    """An int, or an array of ints, as a uint64 array of at least one element, mod 2**64.
+
+    Never a numpy scalar: uint64 scalar arithmetic warns on the wrap-around.
+    """
+    if isinstance(v, np.ndarray):
+        return v.astype(np.uint64)  # a negative int64 wraps as ``& _MASK64`` does
+    return np.array([int(v) & _MASK64], dtype=np.uint64)
+
+
+def _child_ids(stream, *indices) -> np.ndarray:
+    """The stream ids of ``SeededStream(seed, s).child(*indices)`` for each stream id s.
+
+    ``stream`` and each index are an int or an integer array, and they
+    broadcast against one another, so a chunk's ids are one array pass.
+    """
+    s = _as_ids(stream)
+    for ix in indices:
+        s = _splitmix64_ids(s ^ _splitmix64_ids(_as_ids(ix)))
+    return s
 
 
 @dataclass(frozen=True)
@@ -199,13 +238,22 @@ class GaussianMA:
     def m(self) -> int:
         return len(self.taps) - 1
 
-    def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        m = self.m
-        z = rng.standard_normal(n + m)
-        x = self.taps[0] * z[m : m + n]
-        for k in range(1, m + 1):
-            x = x + self.taps[k] * z[m - k : m - k + n]
-        return x + self.shift
+    def _fill(self, out: np.ndarray, draws) -> None:
+        n, m = out.shape[1], self.m
+        z = np.empty((len(out), n + m))
+        for rng, zr in draws(z):
+            rng.standard_normal(out=zr)
+        np.multiply(z[:, m : m + n], self.taps[0], out=out)
+        # the lagged terms go through scratch for a block of rows, not a second stack
+        step = max(1, _FILL_BLOCK // n)
+        lagged = np.empty((min(step, len(out)), n))
+        for r in range(0, len(out), step):
+            rows = out[r : r + step]
+            scratch = lagged[: len(rows)]
+            for k in range(1, m + 1):
+                np.multiply(z[r : r + step, m - k : m - k + n], self.taps[k], out=scratch)
+                rows += scratch
+        out += self.shift
 
     def marginal(self):
         return NormalMarginal(self.shift, math.fsum(t * t for t in self.taps))
@@ -239,12 +287,14 @@ class MinExp:
     def m(self) -> int:
         return self.window - 1
 
-    def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.exponential(1.0 / self.rate, n + self.window - 1)
-        x = z[: n].copy()
+    def _fill(self, out: np.ndarray, draws) -> None:
+        n = out.shape[1]
+        z = np.empty((len(out), n + self.m))
+        for rng, zr in draws(z):
+            zr[:] = rng.exponential(1.0 / self.rate, zr.size)
+        out[:] = z[:, :n]
         for k in range(1, self.window):
-            np.minimum(x, z[k : k + n], out=x)
-        return x
+            np.minimum(out, z[:, k : k + n], out=out)
 
     def marginal(self):
         return ExponentialMarginal(self.rate * self.window)
@@ -265,9 +315,11 @@ class ProductGauss:
     def m(self) -> int:
         return 1
 
-    def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(n + 1)
-        return z[1:] * z[:-1]
+    def _fill(self, out: np.ndarray, draws) -> None:
+        z = np.empty((len(out), out.shape[1] + 1))
+        for rng, zr in draws(z):
+            rng.standard_normal(out=zr)
+        np.multiply(z[:, 1:], z[:, :-1], out=out)
 
     def marginal(self):
         return None
@@ -289,9 +341,11 @@ class MaxIid:
     def m(self) -> int:
         return 1
 
-    def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        u = self.base.sample(rng, n + 1)
-        return np.maximum(u[1:], u[:-1])
+    def _fill(self, out: np.ndarray, draws) -> None:
+        u = np.empty((len(out), out.shape[1] + 1))
+        for rng, ur in draws(u):
+            ur[:] = self.base.sample(rng, ur.size)
+        np.maximum(u[:, 1:], u[:, :-1], out=out)
 
     def marginal(self):
         return MaxOfPairMarginal(self.base)
@@ -315,10 +369,16 @@ class BernoulliShuffle:
     def m(self) -> int:
         return 1
 
-    def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        u = self.base.sample(rng, n + 1)
-        flips = rng.integers(0, 2, size=n)
-        return u[np.arange(n) + flips]
+    def _fill(self, out: np.ndarray, draws) -> None:
+        rows, n = out.shape
+        u = np.empty((rows, n + 1))
+        flips = np.empty((rows, n), dtype=np.int64)
+        for rng, ur, fr in draws(u, flips):
+            ur[:] = self.base.sample(rng, n + 1)
+            fr[:] = rng.integers(0, 2, size=n)
+        # row r's picks as positions in the flattened draws
+        flips += np.arange(n) + np.arange(0, rows * (n + 1), n + 1)[:, None]
+        u.take(flips, out=out)
 
     def marginal(self):
         return self.base
@@ -335,8 +395,9 @@ class Iid:
     def m(self) -> int:
         return 0
 
-    def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.base.sample(rng, n)
+    def _fill(self, out: np.ndarray, draws) -> None:
+        for rng, row in draws(out):
+            row[:] = self.base.sample(rng, row.size)
 
     def marginal(self):
         return self.base
@@ -350,35 +411,47 @@ PROCESS_KINDS = ("gaussian-ma", "min-exp", "product-gauss", "max-iid", "bernoull
 # ---------------------------------------------------------------------------
 
 
-def _generate_stack(spec, n: int, streams) -> np.ndarray:
-    """Generate an (R, n, 1) stack whose row r holds the n observations of ``streams[r]``.
+def _generate_stack(spec, n: int, seed: int, ids) -> np.ndarray:
+    """Generate an (R, n, 1) stack whose row r holds the n observations of stream ``ids[r]``.
 
-    One Philox fills every row: before each stream its state is reset to the
-    stream's key with counter 0 and an empty buffer, which is the state of a
-    fresh ``stream.generator()``, so every row holds the same draws.
+    The process kind's ``_fill(out, draws)`` writes the (R, n) stack ``out``
+    in two steps: its driving draws, row by row into buffers it allocates,
+    then one transform over the whole stack.  ``draws(*buffers)`` yields,
+    for each row r, the generator and row r of each buffer.  One Philox
+    makes every row's draws: before each row its state is reset to the key
+    (seed, ids[r]) with counter 0 and an empty buffer, which is the state of
+    a fresh ``SeededStream(seed, ids[r]).generator()``.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"sample length must be a positive integer, got {n!r}")
-    n = int(n)
+    ids = np.asarray(ids, dtype=np.uint64)
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bits)
-    out = np.empty((len(streams), n, 1))
-    for row, stream in zip(out, streams):
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": stream._key()},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        row[:, 0] = spec.sample_path(n, rng)
+    key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def draws(*buffers):
+        """Yield the generator reset to each row's stream, with that row of each buffer."""
+        for r, stream in enumerate(ids):
+            key[1] = stream
+            bits.state = fresh
+            yield (rng, *(buf[r] for buf in buffers))
+
+    out = np.empty((len(ids), int(n), 1))
+    spec._fill(out[..., 0], draws)
     return out
 
 
 def generate(spec, n: int, stream: SeededStream) -> np.ndarray:
     """Generate n consecutive observations as an (n, 1) sample array."""
-    return _generate_stack(spec, n, [stream])[0]
+    return _generate_stack(spec, n, stream.seed, _as_ids(stream.stream))[0]
 
 
 def paired_generate(spec_x, spec_y, n: int, stream: SeededStream):

@@ -102,6 +102,17 @@ class TestEstimate:
         assert code == 2
         assert f"d={d}, epsilon={float(eps)!r}" in capsys.readouterr().err
 
+    def test_overflowing_divergence_is_input_error(self, tmp_path, capsys):
+        rows = np.random.default_rng(116).random((2, 20, 2)) * 1e-160
+        paths = []
+        for name, sample in zip(("x.csv", "y.csv"), rows):
+            path = tmp_path / name
+            path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in sample))
+            paths.append(str(path))
+        code = main(["estimate", *paths, "--functional", "divergence", "--epsilon", "1e-158"])
+        assert code == 2
+        assert "epsilon=1e-158" in capsys.readouterr().err
+
     def test_insufficient_data_is_computation_error(self, tmp_path, capsys):
         path = _write_sample(tmp_path, "x.csv", [0.0])
         code = main(["estimate", path, "--functional", "q20", "--epsilon", "1"])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -361,6 +362,41 @@ class TestExactWindows:
         assert count_close_within(x, 0.25) == 99
         # y_j - x_i = 0.25 * (j - i + 1): close for j - i in {-2, -1, 0}
         assert count_close_between(x, x + 0.25, 0.25) == 98 + 99 + 100
+
+    # Both inputs put every window end far from its searchsorted guess; an end
+    # that stepped one value per round would take minutes here.
+    WALL_S = 30.0
+
+    def test_long_tie_runs_past_the_guess(self):
+        # 0.6 ulp: each q + eps rounds onto the next run, whose values are not close
+        k = 50_000
+        ulp = np.spacing(1e15)
+        x = np.concatenate([np.full(k, 1e15), np.full(k, 1e15 + ulp)])
+        start = time.monotonic()
+        assert count_close_within(x, 0.6 * ulp) == 2 * math.comb(k, 2)
+        assert count_close_between(x, x[::-1], 0.6 * ulp) == 2 * k * k
+        assert time.monotonic() - start < self.WALL_S
+
+    def test_underflowing_squares_close_every_pair(self):
+        # squared differences up to 1e-330 underflow to 0, so at eps = 0 all
+        # pairs are close, far past each guess q + 0
+        n = 100_000
+        x = np.arange(n) * 1e-170
+        start = time.monotonic()
+        assert count_close_within(x, 0.0) == math.comb(n, 2)
+        assert count_close_between(x, x[::-1], 0.0) == n * n
+        assert time.monotonic() - start < self.WALL_S
+
+    def test_sweep_windows_tie_runs(self):
+        # d = 2 past the grid's resolution takes the sweep, which windows every
+        # coordinate: the tie runs in the first, none close in the second
+        k = 50_000
+        ulp = np.spacing(1e15)
+        x = np.column_stack([np.repeat([1e15, 1e15 + ulp], k), np.arange(2 * k) * 1.0])
+        assert core._strip_keys(0.6 * ulp, x) is None
+        start = time.monotonic()
+        assert count_close_within(x, 0.6 * ulp) == 0
+        assert time.monotonic() - start < self.WALL_S
 
 
 class TestOverflow:

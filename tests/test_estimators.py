@@ -280,6 +280,18 @@ class TestRadiusExtremes:
         assert stacked.tolist() == [math.inf]
         assert renyi2 == -math.inf
 
+    @pytest.mark.parametrize("variant", ["complete", "incomplete"])
+    def test_overflowing_divergence_is_rejected(self, variant):
+        # every piece is inf, and inf - 2*inf + inf is NaN
+        x, y = np.random.default_rng(115).random((2, 20, 2)) * 1e-160
+        with pytest.raises(ValueError, match=re.escape("epsilon=1e-158")):
+            estimate_divergence(x, y, 1e-158, variant)
+        # a stack evaluates it to NaN, which the harness counts as a failed replication
+        counts = _count_stack("divergence", x[None], y[None], 1e-158, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(evaluate(counts, "divergence")[0])
+
 
 class TestStackedEvaluate:
     """Each row of a stacked evaluation equals Python-float arithmetic on its own counts."""

@@ -10,7 +10,9 @@ from qfest.oracle import (
     adaptive_simpson,
     epsilon_level_target,
     naive_q11,
+    naive_q11_incomplete,
     naive_q20,
+    naive_q20_incomplete,
     sigma2_oracle,
     true_q,
 )
@@ -201,3 +203,17 @@ class TestNaiveEstimators:
             naive_q20([1.0], 0.5)
         with pytest.raises(ValueError):
             naive_q11([0.0, 1.0], [0.0], 0.5)
+
+    @pytest.mark.parametrize("gap", [2.5, math.inf, math.nan], ids=["fraction", "inf", "nan"])
+    def test_non_integer_gap_is_rejected(self, gap):
+        # as in the estimators: no truncation to int, and no OverflowError
+        x = [float(i) for i in range(20)]
+        with pytest.raises(ValueError, match="gap must be an integer"):
+            naive_q20_incomplete(x, 0.5, gap)
+        with pytest.raises(ValueError, match="gap must be an integer"):
+            naive_q11_incomplete(x, [v + 0.25 for v in x], 0.5, gap)
+
+    def test_integral_float_gap_is_accepted(self):
+        x = [float(i) for i in range(20)]
+        assert naive_q20_incomplete(x, 3.0, 2.0).config.gap == 2
+        assert naive_q11_incomplete(x, x, 3.0, 2.0).config.gap == 2

@@ -19,6 +19,7 @@ from qfest.processes import (
     ProductGauss,
     SeededStream,
     UniformMarginal,
+    _child_ids,
     _generate_stack,
     generate,
     paired_generate,
@@ -255,18 +256,77 @@ STACK_SPECS = (
 )
 
 
+def _reference_path(spec, n, rng):
+    """One sample drawn from ``rng`` by the plain per-row construction of each kind."""
+    if spec.kind == "gaussian-ma":
+        m = spec.m
+        z = rng.standard_normal(n + m)
+        x = spec.taps[0] * z[m : m + n]
+        for k in range(1, m + 1):
+            x = x + spec.taps[k] * z[m - k : m - k + n]
+        return x + spec.shift
+    if spec.kind == "min-exp":
+        z = rng.exponential(1.0 / spec.rate, n + spec.window - 1)
+        x = z[:n].copy()
+        for k in range(1, spec.window):
+            np.minimum(x, z[k : k + n], out=x)
+        return x
+    if spec.kind == "product-gauss":
+        z = rng.standard_normal(n + 1)
+        return z[1:] * z[:-1]
+    if spec.kind == "max-iid":
+        u = spec.base.sample(rng, n + 1)
+        return np.maximum(u[1:], u[:-1])
+    if spec.kind == "bernoulli-shuffle":
+        u = spec.base.sample(rng, n + 1)
+        flips = rng.integers(0, 2, size=n)
+        return u[np.arange(n) + flips]
+    assert spec.kind == "iid"
+    return spec.base.sample(rng, n)
+
+
 class TestStackedGeneration:
     @pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.kind)
     def test_rows_equal_fresh_generators(self, spec):
         # one generator fills every row; a state carried over from the row
         # before (bernoulli-shuffle makes two draws per stream) would show
         streams = [SeededStream(11, 5).child(r) for r in range(6)]
+        ids = [s.stream for s in streams]
         for n in (1, 2, 7, 50):
-            stack = _generate_stack(spec, n, streams)
+            stack = _generate_stack(spec, n, 11, ids)
             assert stack.shape == (len(streams), n, 1)
             for row, stream in zip(stack, streams):
-                assert np.array_equal(row[:, 0], spec.sample_path(n, stream.generator()))
+                assert np.array_equal(row[:, 0], _reference_path(spec, n, stream.generator()))
             assert np.array_equal(generate(spec, n, streams[3]), stack[3])
 
     def test_every_kind_is_covered(self):
         assert sorted(spec.kind for spec in STACK_SPECS) == sorted(PROCESS_KINDS)
+
+    def test_long_moving_sum_rows(self):
+        # the moving sum's scratch buffer spans a block of rows; rows past it must match too
+        spec = GaussianMA(taps=(0.5, -0.5, 0.5), shift=1.0)
+        streams = [SeededStream(12).child(r) for r in range(40)]
+        stack = _generate_stack(spec, 1000, 12, [s.stream for s in streams])
+        for row, stream in zip(stack, streams):
+            assert np.array_equal(row[:, 0], _reference_path(spec, 1000, stream.generator()))
+
+
+class TestChildIds:
+    """The array stream ids equal ``SeededStream.child`` bit for bit."""
+
+    INDICES = (0, 1, 2**32, 2**63 - 1, -1, -(2**40))
+
+    @pytest.mark.parametrize("seed,stream", [(7, 0), (2**63 + 5, 3), (2**64 + 9, 2**63 + 1)])
+    def test_each_index(self, seed, stream):
+        base = SeededStream(seed, stream)
+        for ix in self.INDICES:
+            assert _child_ids(stream, ix).tolist() == [base.child(ix).stream]
+            assert _child_ids(stream, ix, 0).tolist() == [base.child(ix, 0).stream]
+
+    def test_index_arrays_broadcast(self):
+        base = SeededStream(2**63 + 5)
+        reps = np.array([0, 1, 2**32, 2**63 - 1, -1, -3], dtype=np.int64)
+        ids = _child_ids(base.stream, 4, reps)
+        assert ids.tolist() == [base.child(4, int(r)).stream for r in reps]
+        for k in (0, 1):
+            assert _child_ids(ids, k).tolist() == [base.child(4, int(r), k).stream for r in reps]
