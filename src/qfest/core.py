@@ -18,7 +18,14 @@ integer resolution, or a key wider than 64 bits), an exact sweep takes the
 values; at d = 1 the window count is the answer, and the rows of a stack
 are windowed together.  Every other candidate is checked with the full
 predicate.  Every gap count is the full count minus the near-lag counts up to
-the gap, each lag one dense comparison of the stack shifted along time.
+the gap, each lag a dense comparison of the stack shifted along time.
+
+One block size, ``_STACK_BLOCK``, bounds every temporary.  Short rows are
+counted a block of whole rows at a time; a longer row is counted one tile of
+that many sorted queries (each windowed against the whole sorted row) or time
+indices (for the near lags) at a time; and d >= 2 candidate pairs are checked
+that many at a time.  A d = 1 count so needs the sorted copies of its samples
+and O(block) more memory.
 """
 
 from __future__ import annotations
@@ -33,10 +40,10 @@ import numpy as np
 # such inputs take the one-coordinate sweep.
 _MAX_CELL_COORD = 2.0**52
 
-# Flattened candidate-pair buffers are processed in chunks of this many pairs.
-_PAIR_CHUNK = 4_000_000
-
-# Stacks are counted in blocks of rows of about this many observations each.
+# Every temporary of the counting kernel is bounded by about this many values:
+# stacks are counted in blocks of whole rows of about this size, long rows in
+# tiles of this many queries or time indices, and d >= 2 candidate pairs in
+# chunks of this many pairs.
 _STACK_BLOCK = 2**14
 
 
@@ -228,24 +235,21 @@ def _count_between_gap_naive(xp: np.ndarray, yp: np.ndarray, eps2: float, gap: i
 
 
 def _iter_flat_ranges(lo: np.ndarray, hi: np.ndarray):
-    """Flatten per-row candidate ranges [lo_i, hi_i) into chunks of pairs.
+    """Flatten per-row candidate ranges [lo_i, hi_i) into chunks of ``_STACK_BLOCK`` pairs.
 
-    Each chunk is (rows, lens, pos): a slice of rows, the length of each of
-    their ranges, and the candidate positions of those ranges, row after row.
+    Each chunk is (rows, lens, pos): a slice of rows, the number of each
+    row's candidates in the chunk, and their positions, row after row.  A
+    range longer than a chunk is split between chunks.
     """
-    lens = np.maximum(hi - lo, 0)
-    csum = np.concatenate(([0], np.cumsum(lens)))
-    n = len(lens)
-    start = 0
-    while start < n:
-        stop = int(np.searchsorted(csum, csum[start] + _PAIR_CHUNK, side="right")) - 1
-        stop = min(max(stop, start + 1), n)
-        m = int(csum[stop] - csum[start])
-        if m:
-            reps = lens[start:stop]
-            first = lo[start:stop] - (csum[start:stop] - csum[start])
-            yield slice(start, stop), reps, np.arange(m) + np.repeat(first, reps)
-        start = stop
+    csum = np.concatenate(([0], np.cumsum(np.maximum(hi - lo, 0))))
+    # pair p of the flattening is candidate lo_i + p - csum_i of the row i holding it
+    starts = np.arange(0, csum[-1], _STACK_BLOCK)
+    stops = np.minimum(starts + _STACK_BLOCK, csum[-1])
+    first_rows = np.searchsorted(csum, starts, side="right") - 1
+    stop_rows = np.searchsorted(csum, stops, side="left")
+    for p0, p1, r0, r1 in zip(*(v.tolist() for v in (starts, stops, first_rows, stop_rows))):
+        lens = np.diff(np.clip(csum[r0 : r1 + 1], p0, p1))
+        yield slice(r0, r1), lens, np.arange(p0, p1) + np.repeat(lo[r0:r1] - csum[r0:r1], lens)
 
 
 def _columns(pts: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -316,28 +320,45 @@ def _gallop(inside: np.ndarray, limit: np.ndarray, step: int, holds) -> np.ndarr
     return outside
 
 
+def _search_span(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``x.searchsorted(g, side="right")`` for sorted ``g``, searching only the span it covers.
+
+    A tile of a long row's queries covers a short span of the row, so its
+    binary searches stay in cache.
+    """
+    lo, hi = x.searchsorted(g[[0, -1]], side="right")
+    found = x[lo:hi].searchsorted(g, side="right")
+    found += lo
+    return found
+
+
 def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.ndarray:
     """One past the close run of each query of ``q`` in its own row of ``xs``.
 
     ``xs`` is an (R, n) stack of sorted rows and ``q`` an (R, m) stack of
-    queries; the queries of row r are windowed in row r of ``xs`` only.  The
-    end is the first value above the query that fails ``diff*diff <= eps2``.
-    Rounding is monotone, so the predicate holds on a contiguous run of a
-    sorted row.  Each row's searchsorted guess ``q + eps`` is checked once,
-    for the whole stack, against the values on both sides of it; only the
-    queries where the exact predicate disagrees are then grown or shrunk, by
-    galloping, each stopping at its own row's bounds.
+    sorted rows of queries; the queries of row r are windowed in row r of
+    ``xs`` only.  The end is the first value above the query that fails
+    ``diff*diff <= eps2``.  Rounding is monotone, so the predicate holds on a
+    contiguous run of a sorted row, and the guesses ``q + eps`` of a row stay
+    sorted.  Each row's searchsorted guess is checked once, for the whole
+    stack, against the values on both sides of it; only the queries where the
+    exact predicate disagrees are then grown or shrunk, by galloping, each
+    stopping at its own row's bounds.
     """
     rows, n = xs.shape
+    m = q.shape[1]
     first = np.arange(0, rows * n, n)[:, None]  # each row's offset in the flattened stack
-    guess = q + eps
-    found = [x.searchsorted(g, side="right") for x, g in zip(xs, guess)]
-    ends = found[0][None] if rows == 1 else np.concatenate(found).reshape(guess.shape)
+    found = [
+        _search_span(x, g) if m < n else x.searchsorted(g, side="right")
+        for x, g in zip(xs, q + eps)
+    ]
+    ends = found[0][None] if rows == 1 else np.concatenate(found).reshape(q.shape)
     flat_x, flat_q = xs.ravel(), q.ravel()
 
     def close(x, qv):
         diff = x - qv
-        return diff * diff <= eps2
+        diff *= diff
+        return diff <= eps2
 
     def beyond(x, qv):  # above the query and not close
         return (x > qv) & ~close(x, qv)
@@ -346,7 +367,6 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     grow = np.flatnonzero((ends < n).ravel() & close(flat_x.take(flat, mode="clip"), flat_q))
     before = flat_x.take(flat - 1, mode="clip")
     shrink = np.flatnonzero((ends > 0).ravel() & beyond(before, flat_q))
-    m = q.shape[1]
     if grow.size:  # up to the end of the query's row
         flat[grow] = _gallop(
             flat[grow], (grow // m + 1) * n, 1,
@@ -357,16 +377,7 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
             flat[shrink] - 1, shrink // m * n - 1, -1,
             lambda pos, k: beyond(flat_x[pos], flat_q[shrink[k]]),
         )
-    return flat.reshape(ends.shape) - first
-
-
-def _window_bounds(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float):
-    """The close run [start, end) of each query of the sorted rows ``qs`` in its row of ``xs``."""
-    ends = _window_ends(xs, qs, eps, eps2)
-    # starts from the mirrored problem: negation is exact, so -x and -q give
-    # the same predicate, and a window end there is n minus a start here
-    starts = xs.shape[1] - _window_ends(-xs[:, ::-1], -qs[:, ::-1], eps, eps2)[:, ::-1]
-    return starts, ends
+    return flat.reshape(q.shape) - first
 
 
 def _sorted_windows(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float):
@@ -375,11 +386,22 @@ def _sorted_windows(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float
     ``a`` and ``b`` are (R, n) stacks of one coordinate.  The windows of a
     within-count start after the query; a between-count's are the close runs
     of each sorted row of ``a`` in the sorted row of ``b`` with the same index.
+    The windows are yielded a tile of ``_STACK_BLOCK`` queries of each row at
+    a time, each tile's queries windowed against the whole sorted rows.
     """
     qs = np.sort(a, axis=1)
-    if b is None:
-        return np.arange(1, qs.shape[1] + 1)[None], _window_ends(qs, qs, eps, eps2)
-    return _window_bounds(np.sort(b, axis=1), qs, eps, eps2)
+    xs = qs if b is None else np.sort(b, axis=1)
+    # starts from the mirrored problem: negation is exact, so -x and -q give
+    # the same predicate, and a window end there is n minus a start here
+    mirrored = None if b is None else -xs[:, ::-1]
+    n = qs.shape[1]
+    for s in range(0, n, _STACK_BLOCK):
+        q = qs[:, s : s + _STACK_BLOCK]
+        hi = _window_ends(xs, q, eps, eps2)
+        if b is None:
+            yield np.arange(s + 1, s + q.shape[1] + 1)[None], hi
+        else:
+            yield n - _window_ends(mirrored, -q[:, ::-1], eps, eps2)[:, ::-1], hi
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +518,11 @@ def _count_sweep(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float) -
     """
     best = None
     for k in range(a.shape[1]):
-        lo, hi = _sorted_windows(a[None, :, k], None if b is None else b[None, :, k], eps, eps2)
+        tiles = _sorted_windows(a[None, :, k], None if b is None else b[None, :, k], eps, eps2)
+        lo, hi = (np.concatenate(parts, axis=1)[0] for parts in zip(*tiles))
         found = int((hi - lo).sum())
         if best is None or found < best[0]:
-            best = (found, k, lo[0], hi[0])
+            best = (found, k, lo, hi)
     found, k, lo, hi = best
     acols = _columns(a, np.argsort(a[:, k]))
     bcols = acols if b is None else _columns(b, np.argsort(b[:, k]))
@@ -511,13 +534,13 @@ def _count_close(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float) -
 
     ``a`` and ``b`` are (R, n, d) stacks and row r of ``a`` is paired with
     row r of ``b``.  At d = 1 every row is counted by the exact windows at
-    once.  At d >= 2 the strip grid counts a row whenever its keys fit, and
-    the sweep otherwise.
+    once, a tile of queries at a time.  At d >= 2 the strip grid counts a row
+    whenever its keys fit, and the sweep otherwise.
     """
     if a.shape[2] == 1:
         # the window is the whole predicate: a row's count is its window lengths' sum
-        lo, hi = _sorted_windows(a[..., 0], None if b is None else b[..., 0], eps, eps2)
-        return (hi - lo).sum(axis=1)
+        tiles = _sorted_windows(a[..., 0], None if b is None else b[..., 0], eps, eps2)
+        return sum((hi - lo).sum(axis=1) for lo, hi in tiles)
     counts = []
     for r, pts in enumerate(a):
         other = None if b is None else b[r]
@@ -539,11 +562,12 @@ def _shifted_close_count(a: np.ndarray, b: np.ndarray, eps2: float) -> np.ndarra
 
     The stacks are (R, L, d); the counts broadcast to shape (R,).
     """
-    diff = a[..., 0] - b[..., 0]
-    s = diff * diff
+    s = a[..., 0] - b[..., 0]
+    s *= s
     for k in range(1, a.shape[2]):
-        diff = a[..., k] - b[..., k]
-        s = s + diff * diff
+        term = a[..., k] - b[..., k]
+        term *= term
+        s += term
     close = s <= eps2
     if len(close) == 1:  # the flat count of one row is several times faster
         return np.count_nonzero(close)
@@ -553,18 +577,25 @@ def _shifted_close_count(a: np.ndarray, b: np.ndarray, eps2: float) -> np.ndarra
 def _near_lags(a: np.ndarray, b: np.ndarray | None, eps2: float, max_gap: int) -> np.ndarray:
     """Close pairs at index lag exactly h in each row, shape (R, max_gap + 1).
 
-    Each lag is one dense comparison of the stacks shifted along time.
+    The lags are compared a tile of ``_STACK_BLOCK`` time indices i at a time,
+    as the pairs (i - h, i) with i in the tile.
     """
-    near = np.zeros((a.shape[0], max_gap + 1), dtype=np.int64)
-    for h in range(1, max_gap + 1):
-        if b is None:
-            near[:, h] = _shifted_close_count(a[:, h:], a[:, :-h], eps2)
-        else:
-            near[:, h] = _shifted_close_count(a[:, :-h], b[:, h:], eps2)
-            near[:, h] += _shifted_close_count(a[:, h:], b[:, :-h], eps2)
-    if b is not None:
-        near[:, 0] = _shifted_close_count(a, b, eps2)
-    return near
+    n = a.shape[1]
+    near = np.zeros((max_gap + 1, len(a)), dtype=np.int64)
+    lags = near.copy()  # one tile's counts, lag by lag
+    for s in range(0, n, _STACK_BLOCK):
+        e = min(s + _STACK_BLOCK, n)
+        if b is not None:
+            lags[0] = _shifted_close_count(a[:, s:e], b[:, s:e], eps2)
+        for h in range(1, min(max_gap + 1, e)):
+            i = max(s, h)
+            if b is None:
+                lags[h] = _shifted_close_count(a[:, i:e], a[:, i - h : e - h], eps2)
+            else:
+                pairs = _shifted_close_count(a[:, i - h : e - h], b[:, i:e], eps2)
+                lags[h] = pairs + _shifted_close_count(a[:, i:e], b[:, i - h : e - h], eps2)
+        near += lags
+    return near.T
 
 
 def _close_counts(a: np.ndarray, b: np.ndarray | None, eps: float, max_gap=None):
@@ -576,19 +607,23 @@ def _close_counts(a: np.ndarray, b: np.ndarray | None, eps: float, max_gap=None)
     per-row full counts, shape (R,), and, when ``max_gap`` is given, the
     close pairs at each index lag h = 0..max_gap, shape (R, max_gap + 1):
     lag h is j - i = h within ``a`` (lag 0 holds none), |j - i| = h between.
+    The stacks are counted in blocks of whole rows of about ``_STACK_BLOCK``
+    values, or one row at a time when a row is longer.
     Squares of huge differences overflow to inf and compare as not close, as
     in the brute force; the overflow is expected, so it is not warned about.
     """
     eps2 = eps * eps
-    step = max(1, _STACK_BLOCK // a.shape[1])
-    blocks = [
-        (a[r : r + step], None if b is None else b[r : r + step]) for r in range(0, len(a), step)
-    ]
-    near = None
+    rows, n, _ = a.shape
+    step = max(1, _STACK_BLOCK // n)
+    counts = np.empty(rows, dtype=np.int64)
+    near = None if max_gap is None else np.zeros((rows, max_gap + 1), dtype=np.int64)
     with np.errstate(over="ignore"):
-        counts = np.concatenate([_count_close(*rows, eps, eps2) for rows in blocks])
-        if max_gap is not None:
-            near = np.concatenate([_near_lags(*rows, eps2, max_gap) for rows in blocks])
+        for r in range(0, rows, step):
+            block = slice(r, r + step)
+            x, y = a[block], None if b is None else b[block]
+            counts[block] = _count_close(x, y, eps, eps2)
+            if near is not None:
+                near[block] = _near_lags(x, y, eps2, max_gap)
     return counts, near
 
 

@@ -325,8 +325,9 @@ def _aggregate(
 def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
     """Execute the plan and return per-(estimator, n) summaries.
 
-    ``workers`` > 1 spreads replication chunks over a process pool; the
-    result is byte-identical to the single-worker run.
+    ``workers`` > 1 spreads replication chunks over a process pool of at
+    most one worker per chunk; the result is byte-identical to the
+    single-worker run.
     """
     truth = resolve_truth(plan)
     eps_at = {n: plan.schedule.epsilon_at(n) for n in plan.ns}
@@ -336,6 +337,8 @@ def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
         for r0 in range(0, plan.reps, _CHUNK_REPS)
     ]
     parts: dict[tuple[int, int], np.ndarray] = {}
+    # the pool starts all its workers at once, so no more than it can use
+    workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {

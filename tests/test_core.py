@@ -3,6 +3,7 @@
 import math
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -452,51 +453,89 @@ _ROW_KINDS = {
 _STACK_RADII = (0.0, 0.075, 1.0, 1e150, 1e155)
 
 
-def _mixed_stack(rng, rows, n, d):
-    kinds = list(_ROW_KINDS.values())
+def _mixed_stack(rng, rows, n, d, kinds=_ROW_KINDS):
+    kinds = list(kinds.values())
     return np.stack([kinds[k](rng, n, d) for k in rng.integers(0, len(kinds), size=rows)])
 
 
-def _naive_lag(a, b, eps, h):
-    """Close pairs at index lag exactly h, by explicit iteration.
+# Runs of 7 tied points one apart, in time order: with tiles of 5 values, the
+# tie runs of the sorted row and the close near-lag pairs both cross tile edges.
+_TILE_KINDS = {
+    **_ROW_KINDS,
+    "runs": lambda rng, n, d: np.repeat(np.arange(n) // 7, d).reshape(n, d).astype(float),
+}
+
+
+def _naive_by_lag(a, b, eps):
+    """Close pairs at each index lag 0..n-1, by explicit iteration over all pairs.
 
     The pairs are i < j of ``a`` when ``b`` is None, else ordered cross pairs.
     """
     eps2 = eps * eps
+    a = a.tolist()
+    b = a if b is None else b.tolist()
     n = len(a)
-    if b is None:
-        pairs = [(i, i + h) for i in range(n - h)] if h else []
-        b = a
-    else:
-        pairs = {(i, i + h) for i in range(n - h)} | {(i + h, i) for i in range(n - h)}
-    return sum(core._sq_dist_rows(a[i], b[j]) <= eps2 for i, j in pairs)
+    lags = [0] * n
+    for i in range(n):
+        for j in range(i + 1 if b is a else 0, n):
+            lags[abs(j - i)] += core._sq_dist_rows(a[i], b[j]) <= eps2
+    return lags
 
 
 class TestStacks:
     """Every row of a stacked count equals the brute force on that row alone."""
 
     @pytest.mark.parametrize("block", [None, 5], ids=["default-block", "block-5"])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rows_match_naive(self, monkeypatch, d, block):
+        # with a block of 5, rows span several tiles, tie runs and near-lag
+        # pairs cross tile edges, and d >= 2 candidate pairs come in chunks of 5
         if block is not None:
             monkeypatch.setattr(core, "_STACK_BLOCK", block)
         rng = np.random.default_rng([2062, d])
-        for n in (1, 2, 3, 5, 17, 40):
-            gap = min(n - 1, 3) if n > 1 else None
-            for _ in range(8):
-                a, b = _mixed_stack(rng, 7, n, d), _mixed_stack(rng, 7, n, d)
+        for n in (1, 2, 3, 5, 17, 40, 61):
+            # no near lags, a few, and every lag up to the largest valid gap
+            gaps = [None] if n == 1 else [max(n - 2, 0), min(n - 1, 3), n - 1, None]
+            for k in range(8 if n <= 40 else 2):
+                gap = gaps[k % len(gaps)]
+                a = _mixed_stack(rng, 7, n, d, _TILE_KINDS)
+                b = _mixed_stack(rng, 7, n, d, _TILE_KINDS)
                 for eps in _STACK_RADII:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error", RuntimeWarning)
                         within, near_w = core._close_counts(a, None, eps, gap)
                         between, near_b = core._close_counts(a, b, eps, gap)
                     for r in range(len(a)):
-                        xr, yr = a[r].tolist(), b[r].tolist()
                         assert within[r] == _naive_within(a[r], eps)
                         assert between[r] == _naive_between(a[r], b[r], eps)
-                        for h in range(gap + 1 if gap is not None else 0):
-                            assert near_w[r, h] == _naive_lag(xr, None, eps, h)
-                            assert near_b[r, h] == _naive_lag(xr, yr, eps, h)
+                        if gap is not None:
+                            lags = slice(0, gap + 1)
+                            assert near_w[r].tolist() == _naive_by_lag(a[r], None, eps)[lags]
+                            assert near_b[r].tolist() == _naive_by_lag(a[r], b[r], eps)[lags]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_public_counts_with_small_tiles_match_naive(self, monkeypatch, d):
+        monkeypatch.setattr(core, "_STACK_BLOCK", 5)
+        rng = np.random.default_rng([2065, d])
+        for n in (2, 9, 33, 61):
+            for make in _TILE_KINDS.values():
+                x, y = make(rng, n, d), make(rng, n, d)
+                for eps in _STACK_RADII:
+                    gap = int(rng.integers(0, n - 1))  # 0..n-2
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        got = (
+                            count_close_within(x, eps),
+                            count_close_between(x, y, eps),
+                            count_close_within_gap(x, eps, gap),
+                            count_close_between_gap(x, y, eps, gap),
+                        )
+                    assert got == (
+                        _naive_within(x, eps),
+                        _naive_between(x, y, eps),
+                        _naive_within(x, eps, gap),
+                        _naive_between(x, y, eps, gap),
+                    )
 
     def test_library_count_is_a_stack_of_one(self):
         rng = np.random.default_rng(2063)
@@ -506,6 +545,36 @@ class TestStacks:
             assert full[r] == count_close_between(a[r], b[r], 1.0)
             _, one = core._close_counts(a[r][None], b[r][None], 1.0, 4)
             assert near[r].tolist() == one[0].tolist()
+
+
+def _traced_peak(func, *args):
+    """Bytes allocated at the peak of ``func(*args)`` above what was allocated before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """Counting temporaries stay O(block) beyond the sorted copies of the sample."""
+
+    @pytest.mark.parametrize("d,n,bound", [(1, 200_000, 2), (2, 50_000, 16)])
+    @pytest.mark.parametrize("count", ["within", "between", "within_gap", "between_gap"])
+    def test_traced_peak_is_a_small_multiple_of_the_input(self, count, d, n, bound):
+        rng = np.random.default_rng([2066, d])
+        x, y = rng.normal(size=(2, n, d))
+        eps = math.log(n) * n ** (-1 / d)
+        samples = (x,) if count.startswith("within") else (x, y)
+        args = (*samples, eps, 13) if count.endswith("gap") else (*samples, eps)
+        peak = _traced_peak(getattr(core, f"count_close_{count}"), *args)
+        assert peak <= bound * sum(v.nbytes for v in samples)
 
 
 def _oracle_counts(x, y, eps):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -172,6 +173,37 @@ class TestRun:
         text_b = csv_text(run(plan, workers=1))
         text_c = csv_text(run(plan, workers=2))
         assert text_a == text_b == text_c
+
+    @pytest.mark.parametrize("workers,pool_size", [(2, 2), (500, 3)])
+    def test_pool_has_at_most_one_worker_per_chunk(self, monkeypatch, workers, pool_size):
+        # a fork pool starts all its workers at once; a pool that runs each
+        # chunk in this process records the size it was asked for
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        plan = _iid_q20_plan(reps=40)  # one chunk per n
+        single = _iid_q20_plan(ns=(50,), reps=40)
+        want = [csv_text(run(p, workers=1)) for p in (plan, single)]
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+        assert csv_text(run(plan, workers=workers)) == want[0]
+        assert sizes == [pool_size]
+        # a single chunk runs in this process, without a pool
+        assert csv_text(run(single, workers=workers)) == want[1]
+        assert sizes == [pool_size]
 
     def test_shared_draws_across_estimators(self):
         # complete and incomplete variants see the same replications, so at a
