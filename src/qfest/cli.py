@@ -180,7 +180,7 @@ def _add_options(parser: argparse.ArgumentParser, opts: tuple[_Opt, ...]) -> Non
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _InputError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -334,23 +334,26 @@ def _parse_estimator_tokens(text: str, functional: str) -> tuple[EstimatorSpec, 
 
 
 def _read_sample(path: str) -> np.ndarray:
+    # utf-8-sig drops the byte-order mark that spreadsheet programs write
     try:
         with warnings.catch_warnings():
             # an empty file is reported below, as "no observations found"
             warnings.simplefilter("ignore", UserWarning)
-            sample = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+            sample = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8-sig")
     except (OSError, ValueError):
         # the line parser reports the error with its line, or accepts what
         # float() takes and loadtxt does not (such as "1_5" or blank lines)
-        return _read_sample_lines(path)
+        sample = _read_sample_lines(path)
     if sample.size == 0:
         raise _InputError(f"{path}: no observations found")
+    if not np.isfinite(sample).all():
+        raise _InputError(f"{path}: sample contains non-finite coordinates")
     return sample
 
 
 def _read_sample_lines(path: str) -> np.ndarray:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _InputError(f"cannot read sample file {path}: {exc}") from exc
     rows: list[list[float]] = []

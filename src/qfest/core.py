@@ -5,34 +5,43 @@ no tolerance slack).  Every implementation compares the squared distance,
 accumulated coordinate by coordinate, against epsilon**2, so the brute-force
 reference and the accelerated paths agree bit for bit on any input.
 
-Every count goes through one kernel, ``_close_counts``, which counts a stack
-of equal-length samples (one per row) into per-row full and near-lag counts;
-a single sample is a stack of one.  It treats a within-count as a sample
-against itself with each pair taken from one side only.  At d >= 2 a
-strip grid (the cell method of Bentley, Stanat and Williams, 1977) sorts the
-points by a key of compressed integer cells, so the candidates of a point in
-each of its 3**(d-1) neighbour strips form one contiguous range.  At d = 1,
-and where no cell can be formed (a zero radius, coordinates beyond the cells'
-integer resolution, or a key wider than 64 bits), an exact sweep takes the
-1-D windows of the coordinate with the fewest 1-D close pairs over its sorted
-values; at d = 1 the window count is the answer, and the rows of a stack
-are windowed together.  Every other candidate is checked with the full
-predicate.  Every gap count is the full count minus the near-lag counts up to
-the gap, each lag a dense comparison of the stack shifted along time.
+Every count goes through one kernel, ``_record_counts``, which counts a
+record of pieces (within-counts of a sample and cross counts of a pair) over
+stacks of equal-length samples (one per row) into per-row full and near-lag
+counts; a single sample is a stack of one, and ``_close_counts`` is a record
+of one piece.  It treats a within-count as a sample against itself with each
+pair taken from one side only.  At d >= 2 a strip grid (the cell method of
+Bentley, Stanat and Williams, 1977) sorts the points by a key of compressed
+integer cells, so the candidates of a point in each of its 3**(d-1)
+neighbour strips form one contiguous range; where no cell can be formed (a
+zero radius, coordinates beyond the cells' integer resolution, or a key
+wider than 64 bits), an exact sweep takes the 1-D windows of the coordinate
+with the fewest 1-D close pairs over its sorted values, and every candidate
+is checked with the full predicate.  At d = 1 the window is the whole
+predicate: each sample is sorted once per record, and a count is a sum of
+window ends over the sorted rows (a within-count less n(n + 1)/2, a cross
+count the ends of x in y plus those of y in x, less n**2).  Every gap count
+is the full count minus the near-lag counts up to the gap, each lag a dense
+comparison of the stack shifted along time.
 
 One block size, ``_STACK_BLOCK``, bounds every temporary.  Short rows are
 counted a block of whole rows at a time; a longer row is counted one tile of
 that many sorted queries (each windowed against the whole sorted row) or time
 indices (for the near lags) at a time; and d >= 2 candidate pairs are checked
-that many at a time.  A d = 1 count so needs the sorted copies of its samples
-and O(block) more memory.
+that many at a time.  A d = 1 record so needs the sorted copies of its
+samples and O(block) more memory per pass.  The passes of a long d = 1 row
+run concurrently on a pool of threads that lives for one count; short rows
+are counted in the calling thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -355,18 +364,22 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     ends = found[0][None] if rows == 1 else np.concatenate(found).reshape(q.shape)
     flat_x, flat_q = xs.ravel(), q.ravel()
 
-    def close(x, qv):
-        diff = x - qv
-        diff *= diff
-        return diff <= eps2
+    def close(x, qv):  # squares the difference in the fresh array x
+        x -= qv
+        x *= x
+        return x <= eps2
 
     def beyond(x, qv):  # above the query and not close
         return (x > qv) & ~close(x, qv)
 
-    flat = (ends + first).ravel()
-    grow = np.flatnonzero((ends < n).ravel() & close(flat_x.take(flat, mode="clip"), flat_q))
-    before = flat_x.take(flat - 1, mode="clip")
-    shrink = np.flatnonzero((ends > 0).ravel() & beyond(before, flat_q))
+    # whether the value at the end, and the one before it, lie in the query's row
+    at_end, before_end = (ends < n).ravel(), (ends > 0).ravel()
+    ends += first  # the ends' positions in the flattened stack, viewed by ``flat``
+    flat = ends.ravel()
+    grow = np.flatnonzero(at_end & close(flat_x.take(flat, mode="clip"), flat_q))
+    flat -= 1
+    shrink = np.flatnonzero(before_end & beyond(flat_x.take(flat, mode="clip"), flat_q))
+    flat += 1
     if grow.size:  # up to the end of the query's row
         flat[grow] = _gallop(
             flat[grow], (grow // m + 1) * n, 1,
@@ -377,15 +390,18 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
             flat[shrink] - 1, shrink // m * n - 1, -1,
             lambda pos, k: beyond(flat_x[pos], flat_q[shrink[k]]),
         )
-    return flat.reshape(q.shape) - first
+    ends -= first
+    return ends
 
 
 def _sorted_windows(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float):
     """Exact 1-D windows [lo, hi) of the rows of ``a``, each row sorted; ``b=None`` is within.
 
-    ``a`` and ``b`` are (R, n) stacks of one coordinate.  The windows of a
-    within-count start after the query; a between-count's are the close runs
-    of each sorted row of ``a`` in the sorted row of ``b`` with the same index.
+    The d >= 2 sweep takes its candidates from these; a d = 1 count needs
+    only the sums of window ends.  ``a`` and ``b`` are (R, n) stacks of one
+    coordinate.  The windows of a within-count start after the query; a
+    between-count's are the close runs of each sorted row of ``a`` in the
+    sorted row of ``b`` with the same index.
     The windows are yielded a tile of ``_STACK_BLOCK`` queries of each row at
     a time, each tile's queries windowed against the whole sorted rows.
     """
@@ -532,15 +548,10 @@ def _count_sweep(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float) -
 def _count_close(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float) -> np.ndarray:
     """Close pairs i < j within each row of ``a`` when ``b`` is None, else ordered cross pairs.
 
-    ``a`` and ``b`` are (R, n, d) stacks and row r of ``a`` is paired with
-    row r of ``b``.  At d = 1 every row is counted by the exact windows at
-    once, a tile of queries at a time.  At d >= 2 the strip grid counts a row
-    whenever its keys fit, and the sweep otherwise.
+    ``a`` and ``b`` are (R, n, d) stacks of d >= 2 coordinates, and row r of
+    ``a`` is paired with row r of ``b``.  The strip grid counts a row whenever
+    its keys fit, and the sweep otherwise.
     """
-    if a.shape[2] == 1:
-        # the window is the whole predicate: a row's count is its window lengths' sum
-        tiles = _sorted_windows(a[..., 0], None if b is None else b[..., 0], eps, eps2)
-        return sum((hi - lo).sum(axis=1) for lo, hi in tiles)
     counts = []
     for r, pts in enumerate(a):
         other = None if b is None else b[r]
@@ -550,6 +561,18 @@ def _count_close(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float) -
         else:
             counts.append(_count_strips(pts, other, *strips, eps2))
     return np.array(counts, dtype=np.int64)
+
+
+def _end_sums(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float) -> np.ndarray:
+    """Each row's sum of the window ends of the sorted queries ``qs`` in the sorted rows ``xs``.
+
+    The stacks are (R, n); the sums have shape (R,).  The queries are windowed
+    a tile of ``_STACK_BLOCK`` at a time, so the pass allocates only tiles.
+    """
+    total = np.zeros(len(qs), dtype=np.int64)
+    for s in range(0, qs.shape[1], _STACK_BLOCK):
+        total += _window_ends(xs, qs[:, s : s + _STACK_BLOCK], eps, eps2).sum(axis=1)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -598,33 +621,108 @@ def _near_lags(a: np.ndarray, b: np.ndarray | None, eps2: float, max_gap: int) -
     return near.T
 
 
-def _close_counts(a: np.ndarray, b: np.ndarray | None, eps: float, max_gap=None):
-    """Full and near-lag close-pair counts of each row of the stacks ``a`` and ``b``.
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    This is the one counting kernel.  ``a`` and ``b`` are (R, n, d) stacks of
-    validated samples (``b=None`` counts pairs within ``a``; otherwise ``b``
-    matches ``a`` in shape); a single sample is a stack of one.  Returns the
+
+def _quiet(task):
+    # squares of huge differences overflow to inf and compare as not close, as
+    # in the brute force; numpy's error state does not carry into worker
+    # threads, so each task sets its own
+    with np.errstate(over="ignore"):
+        return task()
+
+
+def _run(tasks: list, concurrent: bool) -> list:
+    """The results of ``tasks``, in order.
+
+    They run on a pool of threads, one per task up to the CPUs at hand, when
+    ``concurrent`` and more than one task and CPU are at hand, and in this
+    thread otherwise.  The pool lives for this call only.
+    """
+    workers = min(len(tasks), _cpus()) if concurrent and len(tasks) > 1 else 1
+    if workers < 2:
+        return [_quiet(task) for task in tasks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(_quiet, tasks))
+
+
+def _record_counts(pieces, eps: float, max_gap=None) -> list:
+    """Full and near-lag close-pair counts of each piece of one record.
+
+    This is the one counting kernel.  Each piece is a pair ``(a, b)`` of
+    (R, n, d) stacks of validated samples (``b=None`` counts pairs within
+    ``a``; otherwise ``b`` matches ``a`` in shape), and every piece has the
+    same shape; a single sample is a stack of one.  Returns, per piece, the
     per-row full counts, shape (R,), and, when ``max_gap`` is given, the
     close pairs at each index lag h = 0..max_gap, shape (R, max_gap + 1):
     lag h is j - i = h within ``a`` (lag 0 holds none), |j - i| = h between.
+
     The stacks are counted in blocks of whole rows of about ``_STACK_BLOCK``
-    values, or one row at a time when a row is longer.
-    Squares of huge differences overflow to inf and compare as not close, as
-    in the brute force; the overflow is expected, so it is not warned about.
+    values, or one row at a time when a row is longer.  A block's passes form
+    one task list: at d = 1, one pass of window ends per within-piece and two
+    per cross piece, and one near-lag pass per piece when ``max_gap`` is
+    given.  At d = 1 each sample is sorted once per block, in this thread,
+    and the sorted rows are shared by every piece that uses the sample.  The
+    passes of a long row run concurrently; they allocate only tile-sized
+    temporaries, and integer sums do not depend on the order they finish in.
     """
     eps2 = eps * eps
-    rows, n, _ = a.shape
+    rows, n, d = pieces[0][0].shape
     step = max(1, _STACK_BLOCK // n)
-    counts = np.empty(rows, dtype=np.int64)
-    near = None if max_gap is None else np.zeros((rows, max_gap + 1), dtype=np.int64)
-    with np.errstate(over="ignore"):
-        for r in range(0, rows, step):
-            block = slice(r, r + step)
+    counts = [
+        (
+            np.zeros(rows, dtype=np.int64),
+            None if max_gap is None else np.zeros((rows, max_gap + 1), dtype=np.int64),
+        )
+        for _ in pieces
+    ]
+    for r in range(0, rows, step):
+        block = slice(r, r + step)
+        if d == 1:
+            ordered = {}
+            for sample in itertools.chain.from_iterable(pieces):
+                if sample is not None and id(sample) not in ordered:
+                    ordered[id(sample)] = np.sort(sample[block, :, 0], axis=1)
+        fulls, lags = [], []  # (the counts a pass adds to, the pass)
+        for (full, near), (a, b) in zip(counts, pieces):
             x, y = a[block], None if b is None else b[block]
-            counts[block] = _count_close(x, y, eps, eps2)
+            if d > 1:
+                fulls.append((full, partial(_count_close, x, y, eps, eps2)))
+            elif b is None:
+                xs = ordered[id(a)]
+                fulls.append((full, partial(_end_sums, xs, xs, eps, eps2)))
+            else:
+                xs, ys = ordered[id(a)], ordered[id(b)]
+                fulls.append((full, partial(_end_sums, ys, xs, eps, eps2)))
+                fulls.append((full, partial(_end_sums, xs, ys, eps, eps2)))
             if near is not None:
-                near[block] = _near_lags(x, y, eps2, max_gap)
-    return counts, near
+                lags.append((near, partial(_near_lags, x, y, eps2, max_gap)))
+        # the window passes take longest, so they start first and the pool's
+        # threads finish close together
+        tasks = fulls + lags
+        results = _run([task for _, task in tasks], d == 1 and n > _STACK_BLOCK)
+        for (target, _), value in zip(tasks, results):
+            target[block] += value
+    if d == 1:
+        # A within-count's window of sorted query i starts at i + 1, so its
+        # count is the sum of its ends less n(n + 1)/2.  A cross count's
+        # window of x_i in the sorted y starts past the y below x_i and not
+        # close to it; (a - b)**2 equals (b - a)**2 bit for bit, so summed
+        # over i these are n**2 less the sum of the ends of each y_j in the
+        # sorted x.
+        for (full, _), (_, b) in zip(counts, pieces):
+            full -= n * (n + 1) // 2 if b is None else n * n
+    return counts
+
+
+def _close_counts(a: np.ndarray, b: np.ndarray | None, eps: float, max_gap=None):
+    """The full and near-lag counts of the one piece ``(a, b)``, as ``_record_counts`` gives them."""
+    return _record_counts([(a, b)], eps, max_gap)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,12 @@ one row per sample or pair: ``evaluate`` is the one dispatch from
 the full count minus the near-lag counts up to the gap.  The value is
 nonnegative and may exceed 1 (it estimates an integral, not a probability).
 
-The Monte Carlo harness evaluates a chunk of replications as one record.  A
-library sample is a stack of one, validated once by ``count_pairs``, and its
-``FunctionalEstimate`` or ``UndefinedEntropyError`` is built from row 0.
+The pieces of a functional are counted together, by one call of the
+counting kernel per record, so a sample shared by two pieces (x in q20 and
+q11, y in q11 and q02) is sorted once.  The Monte Carlo harness evaluates a
+chunk of replications as one record.  A library sample is a stack of one,
+validated once by ``count_pairs``, and its ``FunctionalEstimate`` or
+``UndefinedEntropyError`` is built from row 0.
 """
 
 from __future__ import annotations
@@ -188,14 +191,14 @@ def _count_stack(functional, xs, ys, eps: float, gap: int | None) -> PairCounts:
 
     ``xs`` and ``ys`` are (R, n, d) stacks of validated samples (``ys`` is
     None unless a piece needs it), and row r of ``xs`` is paired with row r
-    of ``ys``.  Each piece is counted over all R rows at once, with its near
-    lags up to ``gap`` unless that is None.
+    of ``ys``.  The pieces are counted as one record over all R rows at once,
+    with their near lags up to ``gap`` unless that is None.
     """
     samples = {"q20": (xs, None), "q11": (xs, ys), "q02": (ys, None)}
-    full, near = {}, {}
-    for piece in _PIECES[functional]:
-        a, b = samples[piece]
-        full[piece], near[piece] = core._close_counts(a, b, eps, gap)
+    pieces = _PIECES[functional]
+    counts = core._record_counts([samples[piece] for piece in pieces], eps, gap)
+    full = {piece: f for piece, (f, _) in zip(pieces, counts)}
+    near = {piece: lags for piece, (_, lags) in zip(pieces, counts)}
     _, n, d = xs.shape
     return PairCounts(n, d, eps, gap, full, near)
 

@@ -306,6 +306,37 @@ class TestEstimateInput:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "1e400"])
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_non_finite_coordinate_names_its_file(self, tmp_path, capsys, token, bad):
+        paths = [_write_sample(tmp_path, name, [0.0, 0.5, 1.0]) for name in ("x.csv", "y.csv")]
+        (tmp_path / ("x.csv", "y.csv")[bad]).write_text(f"0.0\n{token}\n1.0\n")
+        code = main(["estimate", *paths, "--functional", "divergence", "--epsilon", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[bad]}: sample contains non-finite coordinates\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text", ["0.5,1.0\n0.0,1.5\n0.25,1.0\n", "0.5,1.0\n\n1_5,1.5\n0.25,1.0\n"],
+        ids=["loadtxt", "line-parser"],
+    )
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        config = tmp_path / "run.cfg"
+        config.write_text("epsilon=0.75\nvariant=incomplete\ngap=0\n", encoding="utf-8-sig")
+        outputs = []
+        for path in (plain, marked):
+            code = main(["estimate", str(path), "--functional", "q20", "--config", str(config)])
+            assert code == 0
+            outputs.append(capsys.readouterr())
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[0] == outputs[1]
+        # the config's first key is read despite the mark
+        assert "epsilon=0.75\n" in outputs[0].out
+
     def test_ragged_row_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "ragged.csv"
         path.write_text("0.0,1.0\n2.0,3.0\n4.0\n")

@@ -2,9 +2,11 @@
 
 import math
 import re
+import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from qfest.core import (
     iter_pairs_within_gap,
     unit_ball_volume,
 )
-from qfest.estimators import estimate_q20_incomplete
+from qfest.estimators import _count_stack, estimate_q20_incomplete
 
 
 class TestBallVolume:
@@ -547,6 +549,83 @@ class TestStacks:
             assert near[r].tolist() == one[0].tolist()
 
 
+class TestConcurrentPasses:
+    """A long row's passes count the same on a pool of threads as in one thread.
+
+    With blocks of 5 values every row here is long, so its window and near-lag
+    passes form a task list that runs on a pool whenever two CPUs are at hand.
+    """
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the pools the kernel opens, in order."""
+        opened = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(core, "_STACK_BLOCK", 5)
+        return opened
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_counts_and_records_match_naive(self, monkeypatch, pools, cpus):
+        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        rng = np.random.default_rng([2067, cpus])
+        instances = 0
+        for n in (6, 11, 33, 61):
+            for make in _TILE_KINDS.values():
+                for eps in _STACK_RADII:
+                    xs, ys = (np.stack([make(rng, n, 1) for _ in range(2)]) for _ in range(2))
+                    x, y = xs[0], ys[0]
+                    gap = int(rng.integers(0, n - 1))  # 0..n-2
+                    threads = threading.active_count()
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        got = (
+                            count_close_within(x, eps),
+                            count_close_between(x, y, eps),
+                            count_close_within_gap(x, eps, gap),
+                            count_close_between_gap(x, y, eps, gap),
+                        )
+                        record = _count_stack("divergence", xs, ys, eps, gap)
+                    assert threading.active_count() == threads
+                    assert got == (
+                        _naive_within(x, eps),
+                        _naive_between(x, y, eps),
+                        _naive_within(x, eps, gap),
+                        _naive_between(x, y, eps, gap),
+                    )
+                    for r in range(len(xs)):
+                        samples = {"q20": (xs[r], None), "q11": (xs[r], ys[r]), "q02": (ys[r], None)}
+                        for piece, (a, b) in samples.items():
+                            lags = _naive_by_lag(a, b, eps)
+                            assert record.full[piece][r] == sum(lags)
+                            assert record.near[piece][r].tolist() == lags[: gap + 1]
+                    instances += 1
+        # a pool for every count of more than one pass (all but the complete
+        # within-count) and every row of the record, on two CPUs only
+        assert pools == ([] if cpus == 1 else [2] * (5 * instances))
+
+    def test_huge_coordinates_take_the_pool_without_warnings(self, monkeypatch, pools):
+        # numpy's error state is per thread, so each pass sets its own
+        monkeypatch.setattr(core, "_cpus", lambda: 2)
+        rng = np.random.default_rng(2068)
+        xs, ys = rng.normal(size=(2, 2, 40, 1)) * 1e300
+        for eps in (1.0, 1e150, 1e155, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                record = _count_stack("divergence", xs, ys, eps, 7)
+            for r in range(len(xs)):
+                assert record.full["q20"][r] == _naive_within(xs[r], eps)
+                assert record.full["q11"][r] == _naive_between(xs[r], ys[r], eps)
+                assert record.full["q02"][r] == _naive_within(ys[r], eps)
+                assert record.near["q11"][r].tolist() == _naive_by_lag(xs[r], ys[r], eps)[:8]
+        assert pools == [2] * 8
+
+
 def _traced_peak(func, *args):
     """Bytes allocated at the peak of ``func(*args)`` above what was allocated before."""
     tracing = tracemalloc.is_tracing()
@@ -575,6 +654,17 @@ class TestMemoryBounds:
         args = (*samples, eps, 13) if count.endswith("gap") else (*samples, eps)
         peak = _traced_peak(getattr(core, f"count_close_{count}"), *args)
         assert peak <= bound * sum(v.nbytes for v in samples)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("gap", [None, 13], ids=["complete", "gap-13"])
+    def test_traced_peak_of_a_divergence_record(self, monkeypatch, gap, cpus):
+        # each sample is sorted once for all three pieces and no mirrored copy
+        # is made; each concurrent pass adds only its tiles
+        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        n = 200_000
+        x, y = np.random.default_rng([2066, 1]).normal(size=(2, 1, n, 1))
+        peak = _traced_peak(_count_stack, "divergence", x, y, math.log(n) / n, gap)
+        assert peak <= 1.6 * (x.nbytes + y.nbytes)
 
 
 def _oracle_counts(x, y, eps):

@@ -470,8 +470,8 @@ class TestCountOnce:
         assert not all(failed)
 
     def test_each_draw_is_counted_once(self, monkeypatch):
-        # the chunk is counted as one stack per piece, over all its rows, and
-        # no public count is made per replication
+        # the chunk is counted as one record of its pieces over all its rows,
+        # and neither a per-piece nor a public count is made per replication
         calls = []
 
         def recorded(name, func):
@@ -481,20 +481,48 @@ class TestCountOnce:
 
             return wrapper
 
-        monkeypatch.setattr(core, "_close_counts", recorded("stack", core._close_counts))
-        for name in ("count_close_within", "count_close_between",
-                     "count_close_within_gap", "count_close_between_gap"):
+        for name in ("_record_counts", "_close_counts", "count_close_within",
+                     "count_close_between", "count_close_within_gap", "count_close_between_gap"):
             monkeypatch.setattr(core, name, recorded(name, getattr(core, name)))
         plan = _fig1_plan(reps=4)
         mc._eval_chunk(plan, 0, 100, plan.schedule.epsilon_at(100), 0, plan.reps)
-        assert [name for name, _ in calls] == ["stack"] * 3
-        q11, q20, q02 = (args for _, args in calls)
-        x, y = q11[:2]
+        assert [name for name, _ in calls] == ["_record_counts"]
+        pieces, _, max_gap = calls[0][1]
+        (x, y), q20, q02 = pieces
         assert x.shape == y.shape == (plan.reps, 100, 1)
         assert q20[0] is x and q20[1] is None
         assert q02[0] is y and q02[1] is None
         # each piece is counted to the largest gap any estimator asks for
-        assert q11[3] == q20[3] == q02[3] == log_gap(100)
+        assert max_gap == log_gap(100)
+
+    def test_chunk_opens_no_thread_pool(self, monkeypatch):
+        # fig1 rows are short, so a chunk's passes run in the calling thread
+        # even where many CPUs are at hand; the fake starts no thread
+        opened = []
+
+        class NoPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(core, "_cpus", lambda: 8)
+        plan = _fig1_plan(reps=4)
+        for gi, n in enumerate(plan.ns):
+            mc._eval_chunk(plan, gi, n, plan.schedule.epsilon_at(n), 0, plan.reps)
+        assert opened == []
+        # the fake does stand in for the pool of a long row's passes
+        long_row = np.zeros((1, core._STACK_BLOCK + 1, 1))
+        assert core._close_counts(long_row, None, 1.0, 1)[1].tolist() == [[0, core._STACK_BLOCK]]
+        assert opened == [2]
 
     def test_chunk_builds_no_config_or_estimate(self, monkeypatch):
         # validation stays at the public boundary: a chunk's values are
