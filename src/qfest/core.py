@@ -10,28 +10,30 @@ record of pieces (within-counts of a sample and cross counts of a pair) over
 stacks of equal-length samples (one per row) into per-row full and near-lag
 counts; a single sample is a stack of one, and ``_close_counts`` is a record
 of one piece.  It treats a within-count as a sample against itself with each
-pair taken from one side only.  At d >= 2 a strip grid (the cell method of
-Bentley, Stanat and Williams, 1977) sorts the points by a key of compressed
-integer cells, so the candidates of a point in each of its 3**(d-1)
-neighbour strips form one contiguous range; where no cell can be formed (a
-zero radius, coordinates beyond the cells' integer resolution, or a key
-wider than 64 bits), an exact sweep takes the 1-D windows of the coordinate
-with the fewest 1-D close pairs over its sorted values, and every candidate
-is checked with the full predicate.  At d = 1 the window is the whole
+pair taken from one side only.  One 1-D primitive, the exact window end of
+``_window_ends``, serves every dimension.  At d = 1 the window is the whole
 predicate: each sample is sorted once per record, and a count is a sum of
 window ends over the sorted rows (a within-count less n(n + 1)/2, a cross
-count the ends of x in y plus those of y in x, less n**2).  Every gap count
-is the full count minus the near-lag counts up to the gap, each lag a dense
+count the ends of x in y plus those of y in x, less n**2).  At d >= 2 a strip
+grid (the cell method of Bentley, Stanat and Williams, 1977) counts every
+input.  Each coordinate's cells are runs of its sorted values, each cell
+starting at the first value not close to the start of the one before, so a
+close pair lies in neighbouring cells for any radius and at any magnitude.
+The cells of a row are built once per record, on the union of its samples;
+each sample is sorted once by a key of cell ranks, so the candidates of a
+point in each of its 3**(k-1) neighbour strips form one contiguous range, and
+every candidate is checked with the full predicate.  Every gap count is the
+full count minus the near-lag counts up to the gap, each lag a dense
 comparison of the stack shifted along time.
 
 One block size, ``_STACK_BLOCK``, bounds every temporary.  Short rows are
 counted a block of whole rows at a time; a longer row is counted one tile of
 that many sorted queries (each windowed against the whole sorted row) or time
 indices (for the near lags) at a time; and d >= 2 candidate pairs are checked
-that many at a time.  A d = 1 record so needs the sorted copies of its
-samples and O(block) more memory per pass.  The passes of a long d = 1 row
-run concurrently on a pool of threads that lives for one count; short rows
-are counted in the calling thread.
+that many at a time.  A record so needs the sorted copies of its samples
+(at d >= 2 with their keys) and O(block) more memory per pass.  The passes
+of a long d = 1 row run concurrently on a pool of threads that lives for one
+count; short rows are counted in the calling thread.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-
-# Above this |coordinate| / cell-side ratio the grid loses integer resolution;
-# such inputs take the one-coordinate sweep.
-_MAX_CELL_COORD = 2.0**52
 
 # Every temporary of the counting kernel is bounded by about this many values:
 # stacks are counted in blocks of whole rows of about this size, long rows in
@@ -344,15 +342,17 @@ def _search_span(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.ndarray:
     """One past the close run of each query of ``q`` in its own row of ``xs``.
 
-    ``xs`` is an (R, n) stack of sorted rows and ``q`` an (R, m) stack of
-    sorted rows of queries; the queries of row r are windowed in row r of
-    ``xs`` only.  The end is the first value above the query that fails
-    ``diff*diff <= eps2``.  Rounding is monotone, so the predicate holds on a
-    contiguous run of a sorted row, and the guesses ``q + eps`` of a row stay
-    sorted.  Each row's searchsorted guess is checked once, for the whole
-    stack, against the values on both sides of it; only the queries where the
-    exact predicate disagrees are then grown or shrunk, by galloping, each
-    stopping at its own row's bounds.
+    This is the one 1-D primitive: a d = 1 count is a sum of these ends, and
+    at d >= 2 they mark where each coordinate's cells start.  ``xs`` is an
+    (R, n) stack of sorted rows and ``q`` an (R, m) stack of sorted rows of
+    queries; the queries of row r are windowed in row r of ``xs`` only.  The
+    end is the first value above the query that fails ``diff*diff <= eps2``.
+    Rounding is monotone, so the predicate holds on a contiguous run of a
+    sorted row, and the guesses ``q + eps`` of a row stay sorted.  Each row's
+    searchsorted guess is checked once, for the whole stack, against the
+    values on both sides of it; only the queries where the exact predicate
+    disagrees are then grown or shrunk, by galloping, each stopping at its
+    own row's bounds.
     """
     rows, n = xs.shape
     m = q.shape[1]
@@ -394,89 +394,109 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     return ends
 
 
-def _sorted_windows(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float):
-    """Exact 1-D windows [lo, hi) of the rows of ``a``, each row sorted; ``b=None`` is within.
+def _end_sums(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float) -> np.ndarray:
+    """Each row's sum of the window ends of the sorted queries ``qs`` in the sorted rows ``xs``.
 
-    The d >= 2 sweep takes its candidates from these; a d = 1 count needs
-    only the sums of window ends.  ``a`` and ``b`` are (R, n) stacks of one
-    coordinate.  The windows of a within-count start after the query; a
-    between-count's are the close runs of each sorted row of ``a`` in the
-    sorted row of ``b`` with the same index.
-    The windows are yielded a tile of ``_STACK_BLOCK`` queries of each row at
-    a time, each tile's queries windowed against the whole sorted rows.
+    The stacks are (R, n); the sums have shape (R,).  The queries are windowed
+    a tile of ``_STACK_BLOCK`` at a time, so the pass allocates only tiles.
     """
-    qs = np.sort(a, axis=1)
-    xs = qs if b is None else np.sort(b, axis=1)
-    # starts from the mirrored problem: negation is exact, so -x and -q give
-    # the same predicate, and a window end there is n minus a start here
-    mirrored = None if b is None else -xs[:, ::-1]
-    n = qs.shape[1]
-    for s in range(0, n, _STACK_BLOCK):
-        q = qs[:, s : s + _STACK_BLOCK]
-        hi = _window_ends(xs, q, eps, eps2)
-        if b is None:
-            yield np.arange(s + 1, s + q.shape[1] + 1)[None], hi
-        else:
-            yield n - _window_ends(mirrored, -q[:, ::-1], eps, eps2)[:, ::-1], hi
+    total = np.zeros(len(qs), dtype=np.int64)
+    for s in range(0, qs.shape[1], _STACK_BLOCK):
+        total += _window_ends(xs, qs[:, s : s + _STACK_BLOCK], eps, eps2).sum(axis=1)
+    return total
 
 
 # ---------------------------------------------------------------------------
-# The counting kernel: a strip grid, and a one-coordinate sweep where no cell fits
+# The counting kernel at d >= 2: a strip grid of exact 1-D cells
 # ---------------------------------------------------------------------------
 
-# Relative inflation of the cell side; the exact predicate filters candidates,
-# so this only trades work, never correctness.
-_WINDOW_SLACK = 1.000000001
+# A close pair is also close in each coordinate on its own: the squared
+# distance is a float sum of non-negative terms, and rounding is monotone, so
+# it is never below any one term.  A pair whose cells are not neighbours in
+# some coordinate is so never close.
 
 
-def _grid_cells(pts: np.ndarray, eps: float):
-    """Integer cell coordinates, or None when the scale defeats the grid."""
-    side = eps * _WINDOW_SLACK
-    if side == 0.0:
-        return None
-    q = pts / side
-    if not (np.abs(q) < _MAX_CELL_COORD).all():
-        return None
-    return np.floor(q).astype(np.int64)
+def _cell_ranks(column: np.ndarray, eps: float, eps2: float) -> np.ndarray:
+    """The rank of each value's cell along one coordinate.
+
+    Over the sorted distinct values, a new cell starts at the first value that
+    is not close to the start of the cell before it, the window end that
+    ``_window_ends`` finds exactly.  Ranks start at 1 and grow by one from a
+    cell to the next, or by two when the next cell's start is not close to the
+    value just before it.  Rounding is monotone, so two values whose ranks
+    differ by two or more are never close, for any radius and at any
+    magnitude, and equal values share a cell.
+    """
+    values, inverse = np.unique(column, return_inverse=True)
+    ends = np.concatenate([
+        _window_ends(values[None], values[None, s : s + _STACK_BLOCK], eps, eps2)[0]
+        for s in range(0, values.size, _STACK_BLOCK)
+    ])
+    starts, s = [], int(ends[0])  # the first cell starts at 0
+    while s < values.size:
+        starts.append(s)
+        s = int(ends[s])
+    starts = np.array(starts, dtype=np.intp)
+    step = values[starts] - values[starts - 1]
+    step *= step
+    jumps = np.zeros(values.size, dtype=np.int64)
+    jumps[starts] = np.where(step <= eps2, 1, 2)
+    return 1 + np.cumsum(jumps)[inverse]
 
 
 def _strip_keys(eps: float, *samples: np.ndarray):
-    """Strip-grid keys of each sample's points, and the key stride of each dimension.
+    """Strip-grid keys of each sample's points, and the key stride of each keyed dimension.
 
-    The samples share one lattice of cells of side just above ``eps``.  Along
-    each dimension the occupied cells get compressed ranks: adjacent cells
-    stay one rank apart, any wider jump becomes two, and ranks start at 1 with
-    one spare rank past the last, so a step of one rank in any dimension
-    reaches only the cell it should.  The keys are mixed-radix with the last
-    dimension fastest, so sorted keys lay the points out as strips along the
-    last dimension.  Returns None when a cell cannot be formed or a key would
-    not fit in an int64.
+    The samples share one set of cells per dimension, the ``_cell_ranks`` of
+    their union; the rule holds on any subset of the values it was built on.
+    Ranks start at 1 with one spare rank past the last, so a step of one rank
+    in any dimension reaches only the cell it should.  The keys are
+    mixed-radix with the last keyed dimension fastest, so sorted keys lay the
+    points out as strips along it.  A dimension whose ranks would carry the
+    key past an int64 is left out of the key and to the full predicate, so
+    every input gets keys.
     """
-    cells = [_grid_cells(pts, eps) for pts in samples]
-    if any(c is None for c in cells):
-        return None
-    stacked = np.concatenate(cells)
-    keys = np.zeros(stacked.shape[0], dtype=np.int64)
+    eps2 = eps * eps
+    keys = np.zeros(sum(len(pts) for pts in samples), dtype=np.int64)
     strides: list[int] = []
     span = 1
-    for column in stacked.T:
-        occupied, inverse = np.unique(column, return_inverse=True)
-        steps = np.where(np.diff(occupied) == 1, 1, 2)
-        ranks = np.concatenate(([1], 1 + np.cumsum(steps)))
-        width = int(ranks[-1]) + 2
+    for k in range(samples[0].shape[1]):
+        ranks = _cell_ranks(np.concatenate([pts[:, k] for pts in samples]), eps, eps2)
+        width = int(ranks.max()) + 2
+        if span * width > np.iinfo(np.int64).max:
+            continue
         span *= width
-        if span > np.iinfo(np.int64).max:
-            return None
-        keys = keys * width + ranks[inverse]
+        keys *= width
+        keys += ranks
         strides = [s * width for s in strides] + [1]
-    split = np.cumsum([len(c) for c in cells])[:-1]
+    split = np.cumsum([len(pts) for pts in samples])[:-1]
     return np.split(keys, split), strides
 
 
-def _strip_offsets(strides: list[int]) -> list[int]:
-    """Key offsets of the 3**(d-1) strips around a strip, in lexicographic order.
+def _sorted_strips(eps: float, samples: dict):
+    """The strip grid of each row of a record's samples.
 
-    The middle one is the strip itself; the ones after it are the
+    ``samples`` maps each sample to its (R, n, d) stack.  The cells of a row
+    are built once, on the union of the samples' rows, and each sample's keys
+    are sorted once.  Returns, per sample, a list over the rows of its sorted
+    keys and its points as coordinate columns in that order, and each row's
+    key strides.
+    """
+    grids = {key: [] for key in samples}
+    strides = []
+    for rows in zip(*samples.values()):
+        keys, row_strides = _strip_keys(eps, *rows)
+        strides.append(row_strides)
+        for key, k, pts in zip(samples, keys, rows):
+            order = np.argsort(k)
+            grids[key].append((k[order], _columns(pts, order)))
+    return grids, strides
+
+
+def _strip_offsets(strides: list[int]) -> list[int]:
+    """Key offsets of the 3**(k-1) strips around a strip, in lexicographic order.
+
+    ``strides`` are those of the k keyed dimensions.  The middle one is the strip itself; the ones after it are the
     lexicographically positive offsets, one of each +-pair.
     """
     steps = itertools.product((-1, 0, 1), repeat=len(strides) - 1)
@@ -491,88 +511,33 @@ def _strip_range(keys: np.ndarray, probe: np.ndarray):
     )
 
 
-def _count_strips(
-    a: np.ndarray, b: np.ndarray | None, keys: list[np.ndarray], strides: list[int], eps2: float
-) -> int:
-    """Close pairs in neighbouring cells of the strip grid; ``b=None`` counts within ``a``.
+def _count_strips(a: list, b: list | None, strides: list, eps2: float) -> np.ndarray:
+    """Close pairs in neighbouring cells of each row's strip grid; ``b=None`` counts within ``a``.
 
-    A between-count takes every ordered pair (a_i, b_j) over all 3**(d-1)
-    strips.  A within-count is ``a`` against itself with each pair found from
-    one side only: the candidates start after the query in key order, and only
-    the query's own strip and the lexicographically positive ones are walked.
-    The start clips only the own strip; a positive strip lies wholly after the
-    query, and a negative one could hold no later position.
-    """
-    oa = np.argsort(keys[0])
-    ka, acols = keys[0][oa], _columns(a, oa)
-    offsets = _strip_offsets(strides)
-    if b is None:
-        kb, bcols, first = ka, acols, np.arange(1, ka.size + 1)
-        offsets = offsets[len(offsets) // 2 :]
-    else:
-        ob = np.argsort(keys[1])
-        kb, bcols, first = keys[1][ob], _columns(b, ob), 0
-    count = 0
-    for off in offsets:
-        lo, hi = _strip_range(kb, ka + off)
-        count += _close_in_ranges(acols, bcols, np.maximum(lo, first), hi, eps2)
-    return count
-
-
-# A close pair is also close in each coordinate on its own: the squared
-# distance is a float sum of non-negative terms, and rounding is monotone, so
-# it is never below any one term.
-
-
-def _count_sweep(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float) -> int:
-    """Close pairs from the exact 1-D windows of one coordinate; ``b=None`` counts within ``a``.
-
-    ``a`` and ``b`` are single samples of d >= 2 coordinates.  Every
-    coordinate's windows are taken over its sorted values, and the one with
-    the fewest 1-D close pairs is kept; each candidate in its windows is then
-    checked in full.
-    """
-    best = None
-    for k in range(a.shape[1]):
-        tiles = _sorted_windows(a[None, :, k], None if b is None else b[None, :, k], eps, eps2)
-        lo, hi = (np.concatenate(parts, axis=1)[0] for parts in zip(*tiles))
-        found = int((hi - lo).sum())
-        if best is None or found < best[0]:
-            best = (found, k, lo, hi)
-    found, k, lo, hi = best
-    acols = _columns(a, np.argsort(a[:, k]))
-    bcols = acols if b is None else _columns(b, np.argsort(b[:, k]))
-    return _close_in_ranges(acols, bcols, lo, hi, eps2)
-
-
-def _count_close(a: np.ndarray, b: np.ndarray | None, eps: float, eps2: float) -> np.ndarray:
-    """Close pairs i < j within each row of ``a`` when ``b`` is None, else ordered cross pairs.
-
-    ``a`` and ``b`` are (R, n, d) stacks of d >= 2 coordinates, and row r of
-    ``a`` is paired with row r of ``b``.  The strip grid counts a row whenever
-    its keys fit, and the sweep otherwise.
+    ``a`` and ``b`` hold, per row, the sorted keys and columns of
+    ``_sorted_strips``, and ``strides`` each row's key strides; the counts
+    have shape (R,).  A between-count takes every ordered pair (a_i, b_j) over
+    all 3**(k-1) strips of the k keyed dimensions.  A within-count is ``a``
+    against itself with each pair found from one side only: the candidates
+    start after the query in key order, and only the query's own strip and
+    the lexicographically positive ones are walked.  The start clips only the
+    own strip; a positive strip lies wholly after the query, and a negative
+    one could hold no later position.
     """
     counts = []
-    for r, pts in enumerate(a):
-        other = None if b is None else b[r]
-        strips = _strip_keys(eps, pts) if other is None else _strip_keys(eps, pts, other)
-        if strips is None:
-            counts.append(_count_sweep(pts, other, eps, eps2))
+    for r, ((ka, acols), row_strides) in enumerate(zip(a, strides)):
+        offsets = _strip_offsets(row_strides)
+        if b is None:
+            kb, bcols, first = ka, acols, np.arange(1, ka.size + 1)
+            offsets = offsets[len(offsets) // 2 :]
         else:
-            counts.append(_count_strips(pts, other, *strips, eps2))
+            (kb, bcols), first = b[r], 0
+        count = 0
+        for off in offsets:
+            lo, hi = _strip_range(kb, ka + off)
+            count += _close_in_ranges(acols, bcols, np.maximum(lo, first), hi, eps2)
+        counts.append(count)
     return np.array(counts, dtype=np.int64)
-
-
-def _end_sums(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float) -> np.ndarray:
-    """Each row's sum of the window ends of the sorted queries ``qs`` in the sorted rows ``xs``.
-
-    The stacks are (R, n); the sums have shape (R,).  The queries are windowed
-    a tile of ``_STACK_BLOCK`` at a time, so the pass allocates only tiles.
-    """
-    total = np.zeros(len(qs), dtype=np.int64)
-    for s in range(0, qs.shape[1], _STACK_BLOCK):
-        total += _window_ends(xs, qs[:, s : s + _STACK_BLOCK], eps, eps2).sum(axis=1)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +629,13 @@ def _record_counts(pieces, eps: float, max_gap=None) -> list:
 
     The stacks are counted in blocks of whole rows of about ``_STACK_BLOCK``
     values, or one row at a time when a row is longer.  A block's passes form
-    one task list: at d = 1, one pass of window ends per within-piece and two
-    per cross piece, and one near-lag pass per piece when ``max_gap`` is
-    given.  At d = 1 each sample is sorted once per block, in this thread,
-    and the sorted rows are shared by every piece that uses the sample.  The
-    passes of a long row run concurrently; they allocate only tile-sized
+    one task list: one strip-grid pass per piece at d >= 2; at d = 1, one
+    pass of window ends per within-piece and two per cross piece; and one
+    near-lag pass per piece when ``max_gap`` is given.  Each sample is sorted
+    once per block, in this thread, and shared by every piece that uses it:
+    at d = 1 its sorted rows, at d >= 2 its points in the order of their
+    strip keys, on cells built once per row for all the samples.  The passes
+    of a long d = 1 row run concurrently; they allocate only tile-sized
     temporaries, and integer sums do not depend on the order they finish in.
     """
     eps2 = eps * eps
@@ -683,25 +650,27 @@ def _record_counts(pieces, eps: float, max_gap=None) -> list:
     ]
     for r in range(0, rows, step):
         block = slice(r, r + step)
+        samples = {}
+        for sample in itertools.chain.from_iterable(pieces):
+            if sample is not None:
+                samples.setdefault(id(sample), sample[block])
         if d == 1:
-            ordered = {}
-            for sample in itertools.chain.from_iterable(pieces):
-                if sample is not None and id(sample) not in ordered:
-                    ordered[id(sample)] = np.sort(sample[block, :, 0], axis=1)
+            ordered = {key: np.sort(rows[..., 0], axis=1) for key, rows in samples.items()}
+        else:
+            ordered, strides = _quiet(partial(_sorted_strips, eps, samples))
         fulls, lags = [], []  # (the counts a pass adds to, the pass)
         for (full, near), (a, b) in zip(counts, pieces):
-            x, y = a[block], None if b is None else b[block]
+            xs, ys = ordered[id(a)], None if b is None else ordered[id(b)]
             if d > 1:
-                fulls.append((full, partial(_count_close, x, y, eps, eps2)))
+                fulls.append((full, partial(_count_strips, xs, ys, strides, eps2)))
             elif b is None:
-                xs = ordered[id(a)]
                 fulls.append((full, partial(_end_sums, xs, xs, eps, eps2)))
             else:
-                xs, ys = ordered[id(a)], ordered[id(b)]
                 fulls.append((full, partial(_end_sums, ys, xs, eps, eps2)))
                 fulls.append((full, partial(_end_sums, xs, ys, eps, eps2)))
             if near is not None:
-                lags.append((near, partial(_near_lags, x, y, eps2, max_gap)))
+                y = None if b is None else samples[id(b)]
+                lags.append((near, partial(_near_lags, samples[id(a)], y, eps2, max_gap)))
         # the window passes take longest, so they start first and the pool's
         # threads finish close together
         tasks = fulls + lags

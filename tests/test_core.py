@@ -391,12 +391,13 @@ class TestExactWindows:
         assert time.monotonic() - start < self.WALL_S
 
     def test_sweep_windows_tie_runs(self):
-        # d = 2 past the grid's resolution takes the sweep, which windows every
-        # coordinate: the tie runs in the first, none close in the second
+        # d = 2 with tie runs in the first coordinate, one ulp apart at 1e15 and
+        # not close, and none close in the second: the strip grid keys both
         k = 50_000
         ulp = np.spacing(1e15)
         x = np.column_stack([np.repeat([1e15, 1e15 + ulp], k), np.arange(2 * k) * 1.0])
-        assert core._strip_keys(0.6 * ulp, x) is None
+        keys, strides = core._strip_keys(0.6 * ulp, x)
+        assert len(strides) == 2 and len(np.unique(keys[0])) == 2 * k
         start = time.monotonic()
         assert count_close_within(x, 0.6 * ulp) == 0
         assert time.monotonic() - start < self.WALL_S
@@ -666,6 +667,14 @@ class TestMemoryBounds:
         peak = _traced_peak(_count_stack, "divergence", x, y, math.log(n) / n, gap)
         assert peak <= 1.6 * (x.nbytes + y.nbytes)
 
+    @pytest.mark.parametrize("gap", [None, 13], ids=["complete", "gap-13"])
+    def test_traced_peak_of_a_d2_divergence_record(self, gap):
+        # the cells of x and y are built once, and each sample's keys sorted once
+        n = 50_000
+        x, y = np.random.default_rng([2066, 2]).normal(size=(2, 1, n, 2))
+        peak = _traced_peak(_count_stack, "divergence", x, y, math.log(n) / math.sqrt(n), gap)
+        assert peak <= 8 * (x.nbytes + y.nbytes)
+
 
 def _oracle_counts(x, y, eps):
     """Brute-force within-count of x and between-count of (x, y).
@@ -742,35 +751,37 @@ class TestStripGrid:
 
 
 def _guarded_inputs():
-    """Inputs of every dimension and size, and whether strip-grid keys fit them."""
+    """Inputs of every dimension and size, the grid's former fallbacks among them."""
     rng = np.random.default_rng(2040)
     n = 128
     x, y, eps = _adversarial_grid("wide", 3, n, rng)
-    yield "strip grid", x, y, eps, True
+    yield "strip grid", x, y, eps
     zero = rng.integers(0, 3, size=(2, n, 2)) * 1e-170
-    yield "zero radius", zero[0], zero[1], 0.0, False
+    yield "zero radius", zero[0], zero[1], 0.0
     shifted = rng.normal(size=(2, n, 3)) + 1e15
-    yield "cell resolution", shifted[0], shifted[1], 0.2, False
+    yield "cell resolution", shifted[0], shifted[1], 0.2
     # compressed ranks up to about 2n per coordinate: (2n)**6 passes an int64
     wide = _clustered(rng, 1000, 6, 1e7)
-    yield "key width", wide, wide[::-1] + 0.25, 1.0, False
+    yield "key width", wide, wide[::-1] + 0.25, 1.0
     small = rng.normal(size=(2, 10, 2))
-    yield "short strip grid", small[0], small[1], 0.8, True
+    yield "short strip grid", small[0], small[1], 0.8
     line = rng.normal(size=(2, n, 1))
-    yield "line", line[0], line[1], 0.1, True
-    yield "short line", line[0, :10], line[1, :10], 0.5, True
+    yield "line", line[0], line[1], 0.1
+    yield "short line", line[0, :10], line[1, :10], 0.5
 
 
 class TestNoQuadraticFallback:
-    """No count, at any n or d, runs the brute-force loops."""
+    """No count, at any n or d, runs the brute-force loops, and every input gets grid keys."""
 
     @pytest.mark.parametrize(
-        "label,x,y,eps,fits", [pytest.param(*case, id=case[0]) for case in _guarded_inputs()]
+        "label,x,y,eps", [pytest.param(*case, id=case[0]) for case in _guarded_inputs()]
     )
-    def test_never_calls_the_brute_force(self, monkeypatch, label, x, y, eps, fits):
+    def test_never_calls_the_brute_force(self, monkeypatch, label, x, y, eps):
         want = _oracle_counts(x, y, eps)
-        assert (core._strip_keys(eps, x) is not None) == fits
-        assert (core._strip_keys(eps, x, y) is not None) == fits
+        for samples in ((x,), (x, y)):
+            keys, strides = core._strip_keys(eps, *samples)
+            assert [len(k) for k in keys] == [len(s) for s in samples]
+            assert 1 <= len(strides) <= x.shape[1]
 
         def forbidden(*args):
             raise AssertionError(f"{label}: a count reached the brute force")
@@ -778,6 +789,80 @@ class TestNoQuadraticFallback:
         monkeypatch.setattr(core, "_count_within_naive", forbidden)
         monkeypatch.setattr(core, "_count_between_naive", forbidden)
         assert (count_close_within(x, eps), count_close_between(x, y, eps)) == want
+
+
+def _bounded_inputs(d, n, rng):
+    """Inputs on which a count that is not output-sensitive checks far more pairs than it finds."""
+    side = round(n ** (1 / d))
+    lattice = rng.integers(0, side, size=(2, n, d)).astype(float)
+    yield "zero-radius lattice", lattice[0], lattice[1], 0.0
+    tiny = rng.integers(0, 3, size=(2, n, d)) * 1e-170 + rng.integers(0, 2, size=(2, n, d))
+    yield "1e-170 lattice", tiny[0], tiny[1], 0.0
+    x, y, eps = _adversarial_grid("translated", d, n, rng)
+    yield "translated", x, y, eps
+    ulp = np.spacing(1e15)
+    ties = 1e15 + rng.integers(0, 2, size=(2, n, d)) * ulp
+    ties[..., -1] = np.arange(n)
+    yield "1e15 tie runs", ties[0], ties[1], 0.6 * ulp
+    # about 2n ranks per coordinate: at d = 6 a key of every coordinate passes an int64
+    wide = _clustered(rng, n, d, 1e7)
+    yield "key width", wide, wide[::-1] + 0.25, 1.0
+
+
+class TestOutputSensitive:
+    """The candidates a d >= 2 count checks are bounded by the close pairs it finds."""
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_candidates_per_close_pair(self, monkeypatch, d):
+        n = 4000
+        inspected = []
+        check = core._close_in_ranges
+
+        def counting(a, b, lo, hi, eps2):
+            inspected.append(int(np.maximum(hi - lo, 0).sum()))
+            return check(a, b, lo, hi, eps2)
+
+        monkeypatch.setattr(core, "_close_in_ranges", counting)
+        for label, x, y, eps in _bounded_inputs(d, n, np.random.default_rng([2069, d])):
+            for count, samples in ((count_close_within, (x,)), (count_close_between, (x, y))):
+                inspected.clear()
+                close = count(*samples, eps)
+                assert sum(inspected) <= 3**d * close + n, (label, count.__name__)
+
+
+_CELL_COLUMNS = {
+    "ties": lambda rng, n: rng.integers(0, 3, size=n).astype(float),
+    "1e-170 steps": lambda rng, n: rng.integers(0, 5, size=n) * 1e-170,
+    "1e15 + ulp steps": lambda rng, n: 1e15 + rng.integers(0, 8, size=n) * np.spacing(1e15),
+    "1e300 values": lambda rng, n: rng.normal(size=n) * 1e300,
+    "cauchy": lambda rng, n: rng.standard_cauchy(size=n),
+}
+
+
+class TestCellRanks:
+    """The cell rule on its own: ranks two apart are never close, and ties share a cell."""
+
+    @pytest.mark.parametrize("kind", _CELL_COLUMNS)
+    def test_far_ranks_are_never_close(self, kind):
+        rng = np.random.default_rng([2070, list(_CELL_COLUMNS).index(kind)])
+        for _ in range(10):
+            column = _CELL_COLUMNS[kind](rng, int(rng.integers(1, 60)))
+            for eps in (0.0, 0.6 * float(np.spacing(1e15)), 1.0, 1e150, 1e155):
+                eps2 = eps * eps
+                with np.errstate(over="ignore"):  # as the kernel calls it
+                    ranks = core._cell_ranks(column, eps, eps2).tolist()
+                values = column.tolist()
+                for i, (u, ru) in enumerate(zip(values, ranks)):
+                    for v, rv in zip(values[i + 1 :], ranks[i + 1 :]):
+                        if u == v:
+                            assert ru == rv
+                        if abs(ru - rv) >= 2:
+                            assert core._sq_dist_rows([u], [v]) > eps2
+                # neighbouring values in different cells skip a rank exactly when not close
+                cells = sorted(set(zip(values, ranks)))
+                for (u, ru), (v, rv) in zip(cells, cells[1:]):
+                    if ru != rv:
+                        assert (rv - ru == 1) == (core._sq_dist_rows([u], [v]) <= eps2)
 
 
 def _identity_instances():
