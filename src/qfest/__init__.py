@@ -58,6 +58,7 @@ from .oracle import (
     UnsupportedProcessError,
     adaptive_simpson,
     epsilon_level_target,
+    naive_lag_counts,
     naive_q11,
     naive_q11_incomplete,
     naive_q20,

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandwidth import REGIMES, EpsilonSchedule
-from .estimators import EstimationError, _single_value, count_pairs, estimate_piece
+from .estimators import _PIECES, EstimationError, _single_value, count_pairs, estimate_piece
 from .montecarlo import (
     EstimatorSpec,
     ExperimentPlan,
@@ -140,7 +140,7 @@ _SIMULATE_OPTS = (
          help="named reference experiment"),
     _Opt("process-x", str, help="process spec string"),
     _Opt("process-y", str, help="second process spec (two-sample functionals)"),
-    _Opt("functional", _choice("q20", "q11", "divergence", "renyi2")),
+    _Opt("functional", _choice(*_PIECES)),
     _Opt("estimators", str, default="complete",
          help="comma list of complete|incomplete[:log|:sqrt|:fixed=K]"),
     _Opt("schedule", _choice(*REGIMES), default="thm1iii"),
@@ -399,7 +399,7 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
     merged, _ = _merge(ns, _ESTIMATE_OPTS)
     paths = ns.inputs
     functional = merged["functional"]
-    two_sample = functional in ("q11", "divergence")
+    two_sample = "q11" in _PIECES.get(functional, ())
     if two_sample and len(paths) != 2:
         raise _InputError(f"functional {functional} needs two input files")
     if not two_sample and len(paths) not in (1, 2):

@@ -1,22 +1,21 @@
 """Geometry and exact fixed-radius pair counting.
 
 Counts pairs of observations at Euclidean distance <= epsilon (closed ball,
-no tolerance slack).  Every implementation compares the squared distance,
-accumulated coordinate by coordinate, against epsilon**2, so the brute-force
-reference and the accelerated paths agree bit for bit on any input.
+no tolerance slack).  Every path compares the squared distance, accumulated
+coordinate by coordinate, against epsilon**2, so the counts agree bit for bit
+on any input with the one brute-force reference, ``oracle.naive_lag_counts``.
 
-Every count goes through one kernel, ``_record_counts``, which counts a
-record of pieces (within-counts of a sample and cross counts of a pair) over
-stacks of equal-length samples (one per row) into per-row full and near-lag
-counts; a single sample is a stack of one, and ``_close_counts`` is a record
-of one piece.  It treats a within-count as a sample against itself with each
-pair taken from one side only.  One 1-D primitive, the exact window end of
-``_window_ends``, serves every dimension.  At d = 1 the window is the whole
-predicate: each sample is sorted once per record, and a count is a sum of
-window ends over the sorted rows (a within-count less n(n + 1)/2, a cross
-count the ends of x in y plus those of y in x, less n**2).  At d >= 2 a strip
-grid (the cell method of Bentley, Stanat and Williams, 1977) counts every
-input.  Each coordinate's cells are runs of its sorted values, each cell
+Every count goes through one kernel, ``_record_counts``, which counts a record
+of pieces (within-counts of a sample and cross counts of a pair) over stacks
+of equal-length samples (one per row) into per-row full and near-lag counts; a
+single sample is a stack of one.  It treats a within-count as a sample against
+itself with each pair taken from one side only.  One 1-D primitive, the exact
+window end of ``_window_ends``, serves every dimension.  At d = 1 the window
+is the whole predicate: each sample is sorted once per record, and a count is
+a sum of window ends over the sorted rows (a within-count less n(n + 1)/2, a
+cross count the ends of x in y plus those of y in x, less n**2).  At d >= 2 a
+strip grid (the cell method of Bentley, Stanat and Williams, 1977) counts
+every input.  Each coordinate's cells are runs of its sorted values, each cell
 starting at the first value not close to the start of the one before, so a
 close pair lies in neighbouring cells for any radius and at any magnitude.
 The cells of a row are built once per record, on the union of its samples;
@@ -161,8 +160,8 @@ def ball_volume(d: int, epsilon: float) -> BallVolume:
 def iter_pairs_within_gap(n: int, gap: int):
     """Yield 0-based pairs (i, j) with i < j and j - i > gap.
 
-    Exactly comb(n - gap, 2) pairs are produced; the brute-force counters
-    iterate this generator, so instrumenting it measures the pairs inspected.
+    Exactly comb(n - gap, 2) pairs are produced.  No count iterates it: it
+    states the index set that a gap-restricted count covers.
     """
     for i in range(n - gap - 1):
         for j in range(i + gap + 1, n):
@@ -178,62 +177,6 @@ def iter_pairs_between_gap(n: int, gap: int):
         for j in range(n):
             if abs(j - i) > gap:
                 yield i, j
-
-
-# ---------------------------------------------------------------------------
-# Brute-force counters (explicit iteration over the index sets), kept as the
-# reference the tests hold every fast path to
-# ---------------------------------------------------------------------------
-
-
-def _sq_dist_rows(a, b) -> float:
-    s = 0.0
-    for p, q in zip(a, b):
-        diff = p - q
-        s += diff * diff
-    return s
-
-
-def _count_within_naive(pts: np.ndarray, eps2: float) -> int:
-    rows = pts.tolist()
-    n = len(rows)
-    count = 0
-    for i in range(n - 1):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            if _sq_dist_rows(ri, rows[j]) <= eps2:
-                count += 1
-    return count
-
-
-def _count_within_gap_naive(pts: np.ndarray, eps2: float, gap: int) -> int:
-    rows = pts.tolist()
-    count = 0
-    for i, j in iter_pairs_within_gap(len(rows), gap):
-        if _sq_dist_rows(rows[i], rows[j]) <= eps2:
-            count += 1
-    return count
-
-
-def _count_between_naive(xp: np.ndarray, yp: np.ndarray, eps2: float) -> int:
-    xrows = xp.tolist()
-    yrows = yp.tolist()
-    count = 0
-    for ri in xrows:
-        for rj in yrows:
-            if _sq_dist_rows(ri, rj) <= eps2:
-                count += 1
-    return count
-
-
-def _count_between_gap_naive(xp: np.ndarray, yp: np.ndarray, eps2: float, gap: int) -> int:
-    xrows = xp.tolist()
-    yrows = yp.tolist()
-    count = 0
-    for i, j in iter_pairs_between_gap(len(xrows), gap):
-        if _sq_dist_rows(xrows[i], yrows[j]) <= eps2:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -689,11 +632,6 @@ def _record_counts(pieces, eps: float, max_gap=None) -> list:
     return counts
 
 
-def _close_counts(a: np.ndarray, b: np.ndarray | None, eps: float, max_gap=None):
-    """The full and near-lag counts of the one piece ``(a, b)``, as ``_record_counts`` gives them."""
-    return _record_counts([(a, b)], eps, max_gap)[0]
-
-
 # ---------------------------------------------------------------------------
 # Public counting operations
 # ---------------------------------------------------------------------------
@@ -701,7 +639,7 @@ def _close_counts(a: np.ndarray, b: np.ndarray | None, eps: float, max_gap=None)
 
 def _count_one(a: np.ndarray, b: np.ndarray | None, eps: float, gap=None) -> int:
     """The full count of one validated sample or pair, less its near lags up to ``gap``."""
-    full, near = _close_counts(a[None], None if b is None else b[None], eps, gap)
+    full, near = _record_counts([(a[None], None if b is None else b[None])], eps, gap)[0]
     return int(full[0]) if near is None else int(full[0] - near[0].sum())
 
 

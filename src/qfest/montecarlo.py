@@ -48,8 +48,7 @@ PLOT_HEADER = "log_n,log_mse,fit_line"
 # count, so the task split never depends on the parallelism level.
 _CHUNK_REPS = 250
 
-_FUNCTIONALS = ("q20", "q11", "divergence", "renyi2")
-_TWO_SAMPLE = ("q11", "divergence")
+_FUNCTIONALS = tuple(est._PIECES)
 
 
 class FailureRateError(EstimationError, RuntimeError):
@@ -120,7 +119,7 @@ class EstimatorSpec:
 
     @property
     def two_sample(self) -> bool:
-        return self.functional in _TWO_SAMPLE
+        return "q11" in est._PIECES[self.functional]
 
     @property
     def label(self) -> str:
@@ -153,6 +152,9 @@ class ExperimentPlan:
             raise ValueError(f"plan estimators must share one functional, got {functionals}")
         if any(e.two_sample for e in self.estimators) and self.process_y is None:
             raise ValueError("two-sample functionals require process_y")
+        # every built-in process emits scalar observations
+        if self.schedule.d != 1:
+            raise ValueError(f"schedule d={self.schedule.d} differs from the process dimension d=1")
         if len(set(e.label for e in self.estimators)) != len(self.estimators):
             raise ValueError("estimator labels must be distinct")
         if not self.ns or any(b <= a for a, b in zip(self.ns, self.ns[1:])):
@@ -358,9 +360,9 @@ def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
             )
             gap = spec.gap_rule.at(n) if spec.variant == "incomplete" else 0
             rows.append(_aggregate(plan, spec.label, gi, n, eps_at[n], gap, values, truth))
-    # every built-in process emits scalar observations
     return McResult(
-        rows=tuple(rows), process=plan.process_label, d=1, seed=plan.seed, truth=truth
+        rows=tuple(rows), process=plan.process_label, d=plan.schedule.d, seed=plan.seed,
+        truth=truth,
     )
 
 

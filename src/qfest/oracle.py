@@ -9,10 +9,11 @@ Three kinds of oracle live here:
   that appears in the 4*sigma2/n mean-square limit.  Known densities are
   evaluated on simulated paths; analytic lag covariances exist only
   case by case, while this route is uniform and its error is quantifiable.
-* ``naive_q*``: plain O(n^2) double-loop re-implementations of the four
-  count-based estimators, used as the equality reference in tests. They share
-  nothing with the accelerated counting paths except the per-pair arithmetic
-  contract (squared distance, coordinate-accumulated, compared to eps**2).
+* ``naive_lag_counts``: the one brute-force reference for every close-pair
+  count, O(n^2) one row at a time, resolved by index lag; the ``naive_q*``
+  reference estimators normalise its sums.  It shares nothing with the
+  counting kernel of ``core`` except the per-pair arithmetic contract
+  (squared distance, coordinate-accumulated, compared to eps**2).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_integer_gap, _pair_points, as_points, ball_volume
+from .core import _check_integer_gap, _check_radius, _pair_points, as_points, ball_volume
 from .estimators import (
     AsymptoticVariance,
     EstimateConfig,
@@ -292,83 +293,95 @@ def sigma2_oracle(
 
 
 # ---------------------------------------------------------------------------
-# Reference estimators (always O(n^2), row-at-a-time double loops)
+# The brute-force reference (always O(n^2), one row at a time)
 # ---------------------------------------------------------------------------
 
 
-def _row_sq_dists(p: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _close_to(p: np.ndarray, pts: np.ndarray, eps2: float) -> np.ndarray:
+    """Whether each row of ``pts`` is close to ``p``: the reference's one per-pair predicate."""
     diff = pts[:, 0] - p[0]
     s = diff * diff
     for k in range(1, pts.shape[1]):
         diff = pts[:, k] - p[k]
         s = s + diff * diff
-    return s
+    return s <= eps2
+
+
+def _lag_counts(xp: np.ndarray, yp: np.ndarray | None, eps2: float) -> np.ndarray:
+    """``naive_lag_counts`` of validated samples and a squared radius."""
+    n = xp.shape[0]
+    # the close pairs at each signed lag j - i = 1-n..n-1, offset by n - 1
+    signed = np.zeros(2 * n - 1, dtype=np.int64)
+    others = xp if yp is None else yp
+    # squares past the float range are inf, and not close
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            # a within-count pairs row i with the later rows only
+            j = i + 1 if yp is None else 0
+            signed[n - 1 - i + j : 2 * n - 1 - i] += _close_to(xp[i], others[j:], eps2)
+    lags = signed[n - 1 :].copy()
+    lags[1:] += signed[: n - 1][::-1]
+    return lags
+
+
+def naive_lag_counts(x, y, epsilon) -> np.ndarray:
+    """Close pairs at each index lag 0..n-1, by brute force, one row at a time.
+
+    The pairs are i < j within ``x`` (lag j - i; lag 0 holds none) when ``y``
+    is None, and ordered cross pairs (x_i, y_j) of equal-length samples (lag
+    |j - i|) otherwise.  A pair is close when its squared distance, summed
+    coordinate by coordinate from the first term, is <= epsilon * epsilon.
+    Every full, gap-restricted and near-lag count is a sum or a slice of the
+    result.  Any radius >= 0 is accepted.
+    """
+    xp, yp = (as_points(x), None) if y is None else _pair_points(x, y)
+    eps = _check_radius(epsilon)
+    return _lag_counts(xp, yp, eps * eps)
+
+
+def _naive_estimate(x, y, epsilon, variant="complete", gap=None) -> FunctionalEstimate:
+    """A reference estimate of q20 (``y`` None) or q11, the sum of its lag counts past the gap.
+
+    The checks and exceptions are those of the matching estimator; an
+    incomplete estimate's gap defaults to floor(log n).
+    """
+    xp, yp = (as_points(x), None) if y is None else _pair_points(x, y)
+    n = xp.shape[0]
+    if n < 2 and (y is None or variant == "incomplete"):
+        raise InsufficientDataError(f"need at least 2 observations, got {n}")
+    g = None
+    if variant == "incomplete":
+        g = log_gap(n) if gap is None else _check_integer_gap(gap)
+        if g >= n - 1:
+            raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
+    kl = (2, 0) if y is None else (1, 1)
+    config = EstimateConfig(*kl, float(epsilon), variant, g)
+    lags = _lag_counts(xp, yp, config.epsilon * config.epsilon)
+    if g is None:
+        count = int(lags.sum())
+        pairs = math.comb(n, 2) if y is None else float(n) ** 2
+    else:
+        count = int(lags[g + 1 :].sum())
+        pairs = (1 if y is None else 2) * math.comb(n - g, 2)
+    normalizer = pairs * ball_volume(xp.shape[1], config.epsilon).volume
+    return FunctionalEstimate(count / normalizer, count, normalizer, config)
 
 
 def naive_q20(x, epsilon) -> FunctionalEstimate:
-    """Reference double-loop version of ``estimate_q20``."""
-    pts = as_points(x)
-    n = pts.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    config = EstimateConfig(k=2, l=0, epsilon=float(epsilon))
-    eps2 = config.epsilon * config.epsilon
-    count = 0
-    for i in range(n - 1):
-        count += int(np.count_nonzero(_row_sq_dists(pts[i], pts[i + 1 :]) <= eps2))
-    normalizer = math.comb(n, 2) * ball_volume(pts.shape[1], config.epsilon).volume
-    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+    """Reference version of ``estimate_q20``, from ``naive_lag_counts``."""
+    return _naive_estimate(x, None, epsilon)
 
 
 def naive_q11(x, y, epsilon) -> FunctionalEstimate:
-    """Reference double-loop version of ``estimate_q11``."""
-    xp, yp = _pair_points(x, y)
-    config = EstimateConfig(k=1, l=1, epsilon=float(epsilon))
-    eps2 = config.epsilon * config.epsilon
-    count = 0
-    for i in range(xp.shape[0]):
-        count += int(np.count_nonzero(_row_sq_dists(xp[i], yp) <= eps2))
-    n = xp.shape[0]
-    normalizer = float(n) ** 2 * ball_volume(xp.shape[1], config.epsilon).volume
-    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+    """Reference version of ``estimate_q11``, from ``naive_lag_counts``."""
+    return _naive_estimate(x, y, epsilon)
 
 
 def naive_q20_incomplete(x, epsilon, gap=None) -> FunctionalEstimate:
-    """Reference double-loop version of ``estimate_q20_incomplete``."""
-    pts = as_points(x)
-    n = pts.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    g = log_gap(n) if gap is None else _check_integer_gap(gap)
-    if g >= n - 1:
-        raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
-    config = EstimateConfig(k=2, l=0, epsilon=float(epsilon), variant="incomplete", gap=g)
-    eps2 = config.epsilon * config.epsilon
-    count = 0
-    for i in range(n - g - 1):
-        count += int(np.count_nonzero(_row_sq_dists(pts[i], pts[i + g + 1 :]) <= eps2))
-    normalizer = math.comb(n - g, 2) * ball_volume(pts.shape[1], config.epsilon).volume
-    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+    """Reference version of ``estimate_q20_incomplete``, from ``naive_lag_counts``."""
+    return _naive_estimate(x, None, epsilon, "incomplete", gap)
 
 
 def naive_q11_incomplete(x, y, epsilon, gap=None) -> FunctionalEstimate:
-    """Reference double-loop version of ``estimate_q11_incomplete``."""
-    xp, yp = _pair_points(x, y)
-    n = xp.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    g = log_gap(n) if gap is None else _check_integer_gap(gap)
-    if g >= n - 1:
-        raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
-    config = EstimateConfig(k=1, l=1, epsilon=float(epsilon), variant="incomplete", gap=g)
-    eps2 = config.epsilon * config.epsilon
-    count = 0
-    for i in range(n):
-        before = yp[: max(i - g, 0)]
-        after = yp[i + g + 1 :]
-        if before.size:
-            count += int(np.count_nonzero(_row_sq_dists(xp[i], before) <= eps2))
-        if after.size:
-            count += int(np.count_nonzero(_row_sq_dists(xp[i], after) <= eps2))
-    normalizer = 2 * math.comb(n - g, 2) * ball_volume(xp.shape[1], config.epsilon).volume
-    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+    """Reference version of ``estimate_q11_incomplete``, from ``naive_lag_counts``."""
+    return _naive_estimate(x, y, epsilon, "incomplete", gap)

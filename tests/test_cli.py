@@ -210,6 +210,13 @@ class TestSimulate:
         assert (tmp_path / "sweep-c0.5.csv").exists()
         assert (tmp_path / "sweep-c1.csv").exists()
 
+    def test_schedule_dimension_of_a_scalar_process_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "smoke.csv"
+        assert main(["simulate", "--preset", "smoke", "--d", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "d=3" in err and "d=1" in err
+        assert not out.exists()
+
     def test_missing_plan_is_input_error(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path / "x.csv")]) == 2
 

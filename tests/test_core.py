@@ -173,18 +173,17 @@ class TestIndexSets:
         assert list(iter_pairs_within_gap(5, 2)) == [(0, 3), (0, 4), (1, 4)]
 
 
+def _past(lags, gap=None):
+    """The close pairs of a reference lag vector at lags past ``gap``, or at every lag."""
+    return int(lags[0 if gap is None else gap + 1 :].sum())
+
+
 def _naive_within(x, eps, gap=None):
-    pts = as_points(x)
-    if gap is None:
-        return core._count_within_naive(pts, eps * eps)
-    return core._count_within_gap_naive(pts, eps * eps, gap)
+    return _past(oracle.naive_lag_counts(x, None, eps), gap)
 
 
 def _naive_between(x, y, eps, gap=None):
-    xp, yp = as_points(x), as_points(y)
-    if gap is None:
-        return core._count_between_naive(xp, yp, eps * eps)
-    return core._count_between_gap_naive(xp, yp, eps * eps, gap)
+    return _past(oracle.naive_lag_counts(x, y, eps), gap)
 
 
 def _random_instance(rng, min_n=2, max_n=220):
@@ -237,9 +236,7 @@ class TestDispatchMatchesNaive:
         for d in (1, 2, 3):
             pts = rng.integers(0, 4, size=(150, d)).astype(float)
             for eps in (0.0, 1.0, 1.5, 10.0):
-                assert count_close_within(pts, eps) == core._count_within_naive(
-                    pts, eps * eps
-                )
+                assert count_close_within(pts, eps) == _naive_within(pts, eps)
 
     def test_boundary_distances(self):
         # distances exactly at the radius must count (closed ball)
@@ -469,22 +466,6 @@ _TILE_KINDS = {
 }
 
 
-def _naive_by_lag(a, b, eps):
-    """Close pairs at each index lag 0..n-1, by explicit iteration over all pairs.
-
-    The pairs are i < j of ``a`` when ``b`` is None, else ordered cross pairs.
-    """
-    eps2 = eps * eps
-    a = a.tolist()
-    b = a if b is None else b.tolist()
-    n = len(a)
-    lags = [0] * n
-    for i in range(n):
-        for j in range(i + 1 if b is a else 0, n):
-            lags[abs(j - i)] += core._sq_dist_rows(a[i], b[j]) <= eps2
-    return lags
-
-
 class TestStacks:
     """Every row of a stacked count equals the brute force on that row alone."""
 
@@ -506,15 +487,17 @@ class TestStacks:
                 for eps in _STACK_RADII:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error", RuntimeWarning)
-                        within, near_w = core._close_counts(a, None, eps, gap)
-                        between, near_b = core._close_counts(a, b, eps, gap)
+                        (within, near_w), = core._record_counts([(a, None)], eps, gap)
+                        (between, near_b), = core._record_counts([(a, b)], eps, gap)
                     for r in range(len(a)):
-                        assert within[r] == _naive_within(a[r], eps)
-                        assert between[r] == _naive_between(a[r], b[r], eps)
+                        lags_w = oracle.naive_lag_counts(a[r], None, eps)
+                        lags_b = oracle.naive_lag_counts(a[r], b[r], eps)
+                        assert within[r] == _past(lags_w)
+                        assert between[r] == _past(lags_b)
                         if gap is not None:
                             lags = slice(0, gap + 1)
-                            assert near_w[r].tolist() == _naive_by_lag(a[r], None, eps)[lags]
-                            assert near_b[r].tolist() == _naive_by_lag(a[r], b[r], eps)[lags]
+                            assert near_w[r].tolist() == lags_w[lags].tolist()
+                            assert near_b[r].tolist() == lags_b[lags].tolist()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_public_counts_with_small_tiles_match_naive(self, monkeypatch, d):
@@ -533,20 +516,17 @@ class TestStacks:
                             count_close_within_gap(x, eps, gap),
                             count_close_between_gap(x, y, eps, gap),
                         )
-                    assert got == (
-                        _naive_within(x, eps),
-                        _naive_between(x, y, eps),
-                        _naive_within(x, eps, gap),
-                        _naive_between(x, y, eps, gap),
-                    )
+                    lags_w = oracle.naive_lag_counts(x, None, eps)
+                    lags_b = oracle.naive_lag_counts(x, y, eps)
+                    assert got == (_past(lags_w), _past(lags_b), _past(lags_w, gap), _past(lags_b, gap))
 
     def test_library_count_is_a_stack_of_one(self):
         rng = np.random.default_rng(2063)
         a, b = _mixed_stack(rng, 6, 30, 1), _mixed_stack(rng, 6, 30, 1)
-        full, near = core._close_counts(a, b, 1.0, 4)
+        (full, near), = core._record_counts([(a, b)], 1.0, 4)
         for r in range(len(a)):
             assert full[r] == count_close_between(a[r], b[r], 1.0)
-            _, one = core._close_counts(a[r][None], b[r][None], 1.0, 4)
+            (_, one), = core._record_counts([(a[r][None], b[r][None])], 1.0, 4)
             assert near[r].tolist() == one[0].tolist()
 
 
@@ -593,18 +573,19 @@ class TestConcurrentPasses:
                         )
                         record = _count_stack("divergence", xs, ys, eps, gap)
                     assert threading.active_count() == threads
-                    assert got == (
-                        _naive_within(x, eps),
-                        _naive_between(x, y, eps),
-                        _naive_within(x, eps, gap),
-                        _naive_between(x, y, eps, gap),
-                    )
-                    for r in range(len(xs)):
-                        samples = {"q20": (xs[r], None), "q11": (xs[r], ys[r]), "q02": (ys[r], None)}
-                        for piece, (a, b) in samples.items():
-                            lags = _naive_by_lag(a, b, eps)
-                            assert record.full[piece][r] == sum(lags)
-                            assert record.near[piece][r].tolist() == lags[: gap + 1]
+                    # one reference lag vector per (row, piece); x and y are row 0
+                    lags = [
+                        {"q20": oracle.naive_lag_counts(xs[r], None, eps),
+                         "q11": oracle.naive_lag_counts(xs[r], ys[r], eps),
+                         "q02": oracle.naive_lag_counts(ys[r], None, eps)}
+                        for r in range(len(xs))
+                    ]
+                    lags_w, lags_b = lags[0]["q20"], lags[0]["q11"]
+                    assert got == (_past(lags_w), _past(lags_b), _past(lags_w, gap), _past(lags_b, gap))
+                    for r, row in enumerate(lags):
+                        for piece, lag in row.items():
+                            assert record.full[piece][r] == _past(lag)
+                            assert record.near[piece][r].tolist() == lag[: gap + 1].tolist()
                     instances += 1
         # a pool for every count of more than one pass (all but the complete
         # within-count) and every row of the record, on two CPUs only
@@ -620,10 +601,11 @@ class TestConcurrentPasses:
                 warnings.simplefilter("error", RuntimeWarning)
                 record = _count_stack("divergence", xs, ys, eps, 7)
             for r in range(len(xs)):
+                lags_b = oracle.naive_lag_counts(xs[r], ys[r], eps)
                 assert record.full["q20"][r] == _naive_within(xs[r], eps)
-                assert record.full["q11"][r] == _naive_between(xs[r], ys[r], eps)
+                assert record.full["q11"][r] == _past(lags_b)
                 assert record.full["q02"][r] == _naive_within(ys[r], eps)
-                assert record.near["q11"][r].tolist() == _naive_by_lag(xs[r], ys[r], eps)[:8]
+                assert record.near["q11"][r].tolist() == lags_b[:8].tolist()
         assert pools == [2] * 8
 
 
@@ -676,17 +658,6 @@ class TestMemoryBounds:
         assert peak <= 8 * (x.nbytes + y.nbytes)
 
 
-def _oracle_counts(x, y, eps):
-    """Brute-force within-count of x and between-count of (x, y).
-
-    They are the ``oracle.naive_*`` raw counts; those need a positive radius,
-    so a zero radius takes the brute-force loops of ``core``.
-    """
-    if eps > 0.0:
-        return oracle.naive_q20(x, eps).raw_count, oracle.naive_q11(x, y, eps).raw_count
-    return _naive_within(x, eps), _naive_between(x, y, eps)
-
-
 def _clustered(rng, n, d, spread):
     """Points of the given spread, a fifth of them within 0.6 per coordinate of another."""
     centres = rng.normal(size=(n - n // 5, d)) * spread
@@ -737,7 +708,7 @@ class TestStripGrid:
         for _ in range(4):
             n = int(rng.integers(2, 400))
             x, y, eps = _adversarial_grid(kind, d, n, rng)
-            want = _oracle_counts(x, y, eps)
+            want = _naive_within(x, eps), _naive_between(x, y, eps)
             assert (count_close_within(x, eps), count_close_between(x, y, eps)) == want
 
     @pytest.mark.parametrize(
@@ -746,7 +717,7 @@ class TestStripGrid:
     def test_matches_oracle_at_ten_thousand_points(self, kind, d):
         rng = np.random.default_rng([d, 10_000, GRID_KINDS.index(kind)])
         x, y, eps = _adversarial_grid(kind, d, 10_000, rng)
-        want = _oracle_counts(x, y, eps)
+        want = _naive_within(x, eps), _naive_between(x, y, eps)
         assert (count_close_within(x, eps), count_close_between(x, y, eps)) == want
 
 
@@ -771,23 +742,17 @@ def _guarded_inputs():
 
 
 class TestNoQuadraticFallback:
-    """No count, at any n or d, runs the brute-force loops, and every input gets grid keys."""
+    """Every input, at any n or d, gets grid keys; no brute force is left in ``core`` to reach."""
 
     @pytest.mark.parametrize(
         "label,x,y,eps", [pytest.param(*case, id=case[0]) for case in _guarded_inputs()]
     )
-    def test_never_calls_the_brute_force(self, monkeypatch, label, x, y, eps):
-        want = _oracle_counts(x, y, eps)
+    def test_never_calls_the_brute_force(self, label, x, y, eps):
+        want = _naive_within(x, eps), _naive_between(x, y, eps)
         for samples in ((x,), (x, y)):
             keys, strides = core._strip_keys(eps, *samples)
             assert [len(k) for k in keys] == [len(s) for s in samples]
             assert 1 <= len(strides) <= x.shape[1]
-
-        def forbidden(*args):
-            raise AssertionError(f"{label}: a count reached the brute force")
-
-        monkeypatch.setattr(core, "_count_within_naive", forbidden)
-        monkeypatch.setattr(core, "_count_between_naive", forbidden)
         assert (count_close_within(x, eps), count_close_between(x, y, eps)) == want
 
 
@@ -849,20 +814,23 @@ class TestCellRanks:
             column = _CELL_COLUMNS[kind](rng, int(rng.integers(1, 60)))
             for eps in (0.0, 0.6 * float(np.spacing(1e15)), 1.0, 1e150, 1e155):
                 eps2 = eps * eps
-                with np.errstate(over="ignore"):  # as the kernel calls it
+                points = column[:, None]
+                with np.errstate(over="ignore"):  # as the kernel and the reference call them
                     ranks = core._cell_ranks(column, eps, eps2).tolist()
+                    # close[i][j]: the reference's per-pair predicate on values i and j
+                    close = [oracle._close_to(p, points, eps2).tolist() for p in points]
                 values = column.tolist()
                 for i, (u, ru) in enumerate(zip(values, ranks)):
-                    for v, rv in zip(values[i + 1 :], ranks[i + 1 :]):
+                    for v, rv, near in zip(values[i + 1 :], ranks[i + 1 :], close[i][i + 1 :]):
                         if u == v:
                             assert ru == rv
                         if abs(ru - rv) >= 2:
-                            assert core._sq_dist_rows([u], [v]) > eps2
+                            assert not near
                 # neighbouring values in different cells skip a rank exactly when not close
                 cells = sorted(set(zip(values, ranks)))
                 for (u, ru), (v, rv) in zip(cells, cells[1:]):
                     if ru != rv:
-                        assert (rv - ru == 1) == (core._sq_dist_rows([u], [v]) <= eps2)
+                        assert (rv - ru == 1) == close[values.index(u)][values.index(v)]
 
 
 def _identity_instances():
@@ -884,13 +852,17 @@ class TestGapIdentities:
 
     def test_full_minus_near_lags_is_gap_count(self):
         for x, y, eps in _identity_instances():
-            _, (near_w,) = core._close_counts(as_points(x)[None], None, eps, 10)
-            _, (near_b,) = core._close_counts(as_points(x)[None], as_points(y)[None], eps, 10)
+            (_, (near_w,)), = core._record_counts([(as_points(x)[None], None)], eps, 10)
+            (_, (near_b,)), = core._record_counts(
+                [(as_points(x)[None], as_points(y)[None])], eps, 10
+            )
             full_w = count_close_within(x, eps)
             full_b = count_close_between(x, y, eps)
+            lags_w = oracle.naive_lag_counts(x, None, eps)
+            lags_b = oracle.naive_lag_counts(x, y, eps)
             for g in range(11):
-                assert full_w - sum(near_w[: g + 1]) == _naive_within(x, eps, g)
-                assert full_b - sum(near_b[: g + 1]) == _naive_between(x, y, eps, g)
+                assert full_w - sum(near_w[: g + 1]) == _past(lags_w, g)
+                assert full_b - sum(near_b[: g + 1]) == _past(lags_b, g)
 
     def test_complete_counts_ignore_time_order(self):
         rng = np.random.default_rng(2032)

@@ -106,6 +106,13 @@ class TestPlanValidation:
                 ),
             )
 
+    def test_schedule_dimension_must_match_the_process(self):
+        # every built-in process is scalar; a d = 3 schedule would use the
+        # d = 3 radius rule on 1-D draws
+        schedule = EpsilonSchedule("thm1iii", d=3, alpha=1.0, c=1.0)
+        with pytest.raises(ValueError, match="d=3 .*d=1"):
+            _iid_q20_plan(schedule=schedule)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             _iid_q20_plan(
@@ -481,8 +488,8 @@ class TestCountOnce:
 
             return wrapper
 
-        for name in ("_record_counts", "_close_counts", "count_close_within",
-                     "count_close_between", "count_close_within_gap", "count_close_between_gap"):
+        for name in ("_record_counts", "count_close_within", "count_close_between",
+                     "count_close_within_gap", "count_close_between_gap"):
             monkeypatch.setattr(core, name, recorded(name, getattr(core, name)))
         plan = _fig1_plan(reps=4)
         mc._eval_chunk(plan, 0, 100, plan.schedule.epsilon_at(100), 0, plan.reps)
@@ -521,7 +528,8 @@ class TestCountOnce:
         assert opened == []
         # the fake does stand in for the pool of a long row's passes
         long_row = np.zeros((1, core._STACK_BLOCK + 1, 1))
-        assert core._close_counts(long_row, None, 1.0, 1)[1].tolist() == [[0, core._STACK_BLOCK]]
+        (_, near), = core._record_counts([(long_row, None)], 1.0, 1)
+        assert near.tolist() == [[0, core._STACK_BLOCK]]
         assert opened == [2]
 
     def test_chunk_builds_no_config_or_estimate(self, monkeypatch):

@@ -1,7 +1,9 @@
 """Oracle tests: quadrature, closed forms, smoothed targets, long-run variance."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from qfest.estimators import InsufficientDataError
@@ -9,6 +11,7 @@ from qfest.oracle import (
     UnsupportedProcessError,
     adaptive_simpson,
     epsilon_level_target,
+    naive_lag_counts,
     naive_q11,
     naive_q11_incomplete,
     naive_q20,
@@ -217,3 +220,47 @@ class TestNaiveEstimators:
         x = [float(i) for i in range(20)]
         assert naive_q20_incomplete(x, 3.0, 2.0).config.gap == 2
         assert naive_q11_incomplete(x, x, 3.0, 2.0).config.gap == 2
+
+
+class TestNaiveLagCounts:
+    def test_hand_counted_lags(self):
+        # close within 1.0: (0, 1) and (1, 2) at lag 1, (1, 3) and (2, 4) at
+        # lag 2, (0, 3) at lag 3
+        x = [0.0, 1.0, 2.0, 0.5, 3.0]
+        assert naive_lag_counts(x, None, 1.0).tolist() == [0, 2, 2, 1, 0]
+        # ordered cross pairs (x_i, y_j) at lag |j - i|: (0, 0) and (2, 2) at
+        # lag 0; (1, 0), (1, 2), (2, 3), (3, 2) and (4, 3) at lag 1; (3, 0) at lag 3
+        y = [0.25, 5.0, 1.5, 2.5, 9.0]
+        assert naive_lag_counts(x, y, 1.0).tolist() == [2, 5, 0, 1, 0]
+
+    def test_zero_radius_counts_underflowing_pairs(self):
+        # squared differences of at most (2e-170)**2 underflow to 0.0, so the
+        # points 0, 1e-170 and 2e-170 are close at eps = 0; 1.0 is close to none
+        x = np.array([0.0, 1e-170, 2e-170, 1.0, 1e-170])
+        # the close pairs are those among rows 0, 1, 2 and 4
+        assert naive_lag_counts(x, None, 0.0).tolist() == [0, 2, 2, 1, 1]
+        # each of them twice, plus the five diagonal pairs
+        assert naive_lag_counts(x, x, 0.0).tolist() == [5, 4, 4, 2, 2]
+
+    def test_overflowing_squares_are_not_close(self):
+        # eps**2 = 1e300 is finite, and (2e300)**2 overflows to inf
+        x = np.array([[1e300, 0.0], [-1e300, 0.0], [1e300, 0.0]])
+        y = -x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            within = naive_lag_counts(x, None, 1e150)
+            between = naive_lag_counts(x, y, 1e150)
+        # only equal points are close: rows 0 and 2 of x, and x_i with y_j at lag 1
+        assert within.tolist() == [0, 0, 1]
+        assert between.tolist() == [0, 4, 0]
+
+    @pytest.mark.parametrize("eps", [-0.5, math.nan])
+    def test_rejects_a_negative_or_nan_radius(self, eps):
+        with pytest.raises(ValueError, match="radius"):
+            naive_lag_counts([0.0, 1.0], None, eps)
+        with pytest.raises(ValueError, match="radius"):
+            naive_lag_counts([0.0, 1.0], [0.0, 1.0], eps)
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            naive_lag_counts([0.0, 1.0, 2.0], [0.0, 1.0], 1.0)
