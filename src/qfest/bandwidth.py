@@ -31,17 +31,12 @@ _SUB_SMOOTH = {"thm1ii": lambda a, d: -8.0 * a / (4.0 * a + d),
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """A validated (regime, alpha, d, c) radius rule.
-
-    ``holder_K`` records the smoothness constant assumed for the run; it
-    drives the bias constant in the error bound but not the rule itself.
-    """
+    """A validated (regime, alpha, d, c) radius rule."""
 
     regime: str
     d: int
     alpha: float = 1.0
     c: float = 1.0
-    holder_K: float = 1.0
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -52,8 +47,6 @@ class EpsilonSchedule:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"c must be finite and > 0, got {self.c!r}")
-        if not (math.isfinite(self.holder_K) and self.holder_K > 0.0):
-            raise ValueError(f"holder_K must be finite and > 0, got {self.holder_K!r}")
         a, d = self.alpha, self.d
         if self.regime == "thm1ii" and a > d / 4.0:
             raise ValueError(f"thm1ii requires alpha <= d/4, got alpha={a}, d={d}")

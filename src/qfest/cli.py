@@ -148,7 +148,6 @@ _SIMULATE_OPTS = (
     _Opt("c", _to_float_list, default=(1.0,),
          help="comma list of schedule constants; one output file per value"),
     _Opt("d", int, default=1, help="dimension used by the schedule"),
-    _Opt("holder-k", float, default=1.0, help="recorded smoothness constant"),
     _Opt("n-grid", _to_int_list, default=(100, 200, 400, 700, 1000)),
     _Opt("reps", int, default=1000),
     _Opt("seed", int, default=0),
@@ -520,8 +519,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     c_values = merged["c"]
     for c in c_values:
         schedule = EpsilonSchedule(
-            regime=merged["schedule"], d=merged["d"], alpha=merged["alpha"],
-            c=c, holder_K=merged["holder_k"],
+            regime=merged["schedule"], d=merged["d"], alpha=merged["alpha"], c=c,
         )
         plan = ExperimentPlan(
             process_x=process_x,

@@ -22,7 +22,7 @@ The pieces of a functional are counted together, by one call of the
 counting kernel per record, so a sample shared by two pieces (x in q20 and
 q11, y in q11 and q02) is sorted once.  The Monte Carlo harness evaluates a
 chunk of replications as one record.  A library sample is a stack of one,
-validated once by ``count_pairs``, and its ``FunctionalEstimate`` or
+checked once by ``_validated``, and its ``FunctionalEstimate`` or
 ``UndefinedEntropyError`` is built from row 0.
 """
 
@@ -161,20 +161,20 @@ class PairCounts:
     near: dict[str, np.ndarray | None]
 
 
-def count_pairs(functional, x, y, epsilon, variant="complete", gap=None) -> PairCounts:
-    """Validate the input of one estimate and count its close pairs once.
+def _validated(functional, x, y, epsilon, variant="complete", gap=None):
+    """The checked input of one estimate, (xp, yp, eps, gap), before anything is counted.
 
     ``functional`` is q20, q11, divergence or renyi2; ``y`` is the second
-    sample of q11 and divergence.  The incomplete variant also counts the
-    near lags up to ``gap``, an integer, by default floor(log n) of the sample
-    estimated; the complete variant takes no gap.  ``EstimateConfig`` checks
-    the radius, the variant and the gap.  The record is a stack of one.
+    sample of q11 and divergence.  An incomplete estimate's integer gap
+    defaults to floor(log n).  ``EstimateConfig`` checks the radius, variant
+    and gap, ``_normalizer`` every piece's normalizer.  The ``oracle.naive_q*``
+    references share this one rule.
     """
     if functional not in _PIECES:
         raise ValueError(f"functional must be one of {tuple(_PIECES)}, got {functional!r}")
     pieces = _PIECES[functional]
     xp, yp = core._pair_points(x, y) if "q11" in pieces else (as_points(x), None)
-    n = xp.shape[0]
+    n, d = xp.shape
     if n < 2 and (functional != "q11" or variant == "incomplete"):
         raise InsufficientDataError(f"need at least 2 observations, got {n}")
     g = None if gap is None else core._check_integer_gap(gap)
@@ -183,6 +183,14 @@ def count_pairs(functional, x, y, epsilon, variant="complete", gap=None) -> Pair
         if g >= n - 1:
             raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
     eps = EstimateConfig(*_KL[pieces[0]], float(epsilon), variant, g).epsilon
+    for piece in pieces:
+        _normalizer(piece, n, d, eps, g)
+    return xp, yp, eps, g
+
+
+def count_pairs(functional, x, y, epsilon, variant="complete", gap=None) -> PairCounts:
+    """Count the close pairs of one estimate once, as a stack of one, after ``_validated``."""
+    xp, yp, eps, g = _validated(functional, x, y, epsilon, variant, gap)
     return _count_stack(functional, xp[None], None if yp is None else yp[None], eps, g)
 
 
@@ -203,27 +211,26 @@ def _count_stack(functional, xs, ys, eps: float, gap: int | None) -> PairCounts:
     return PairCounts(n, d, eps, gap, full, near)
 
 
-def _piece_counts(counts: PairCounts, piece: str, gap: int | None):
-    """Each row's count of one piece, shape (R,), and the normalizer they share.
-
-    The normalizer is the number of eligible index pairs times the ball
-    volume; gap None is the complete variant.
-    """
-    n = counts.n
-    count = counts.full[piece]
+def _normalizer(piece: str, n: int, d: int, eps: float, gap: int | None) -> float:
+    """A piece's eligible index pairs times the ball volume; gap None is the complete variant."""
     if gap is None:
         pairs = float(n) ** 2 if piece == "q11" else math.comb(n, 2)
     else:
+        pairs = (2 if piece == "q11" else 1) * math.comb(n - gap, 2)
+    normalizer = pairs * ball_volume(d, eps).volume
+    if not 0.0 < normalizer < math.inf:
+        raise ValueError(f"normalizer at d={d}, epsilon={eps!r} is not a positive finite float")
+    return normalizer
+
+
+def _piece_counts(counts: PairCounts, piece: str, gap: int | None):
+    """Each row's count of one piece, shape (R,), and their normalizer; gap None is complete."""
+    count = counts.full[piece]
+    if gap is not None:
         if counts.max_gap is None or gap > counts.max_gap:
             raise ValueError(f"no near-lag counts up to gap {gap} (counted to {counts.max_gap})")
         count = count - counts.near[piece][:, : gap + 1].sum(axis=1)
-        pairs = (2 if piece == "q11" else 1) * math.comb(n - gap, 2)
-    normalizer = pairs * ball_volume(counts.d, counts.epsilon).volume
-    if not 0.0 < normalizer < math.inf:
-        raise ValueError(
-            f"normalizer at d={counts.d}, epsilon={counts.epsilon!r} is not a positive finite float"
-        )
-    return count, normalizer
+    return count, _normalizer(piece, counts.n, counts.d, counts.epsilon, gap)
 
 
 def estimate_piece(counts: PairCounts, piece: str, gap: int | None = None) -> FunctionalEstimate:

@@ -11,9 +11,9 @@ Three kinds of oracle live here:
   case by case, while this route is uniform and its error is quantifiable.
 * ``naive_lag_counts``: the one brute-force reference for every close-pair
   count, O(n^2) one row at a time, resolved by index lag; the ``naive_q*``
-  reference estimators normalise its sums.  It shares nothing with the
-  counting kernel of ``core`` except the per-pair arithmetic contract
-  (squared distance, coordinate-accumulated, compared to eps**2).
+  references normalise its sums after the estimators' checks.  It shares
+  nothing with the counting kernel of ``core`` except the per-pair
+  arithmetic contract (squared distance, coordinate-accumulated, <= eps**2).
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_integer_gap, _check_radius, _pair_points, as_points, ball_volume
+from .core import _check_radius, _pair_points, as_points, ball_volume
 from .estimators import (
     AsymptoticVariance,
     EstimateConfig,
     EstimationError,
     FunctionalEstimate,
-    InsufficientDataError,
-    log_gap,
+    _KL,
+    _validated,
 )
 from .processes import (
     ExponentialMarginal,
@@ -201,9 +201,8 @@ def epsilon_level_target(spec_x, spec_y, epsilon: float, tol: float = 1e-11) -> 
     separation); it converges to q11 as the radius shrinks.  Univariate
     marginals only.
     """
-    eps = float(epsilon)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    ball = ball_volume(1, epsilon)
+    eps = ball.epsilon
     mx = _require_marginal(spec_x)
     my = mx if spec_y is None else _require_marginal(spec_y)
     lo, hi = mx.support()
@@ -212,7 +211,7 @@ def epsilon_level_target(spec_x, spec_y, epsilon: float, tol: float = 1e-11) -> 
         return mx.pdf(t) * (my.cdf(t + eps) - my.cdf(t - eps))
 
     prob, _ = adaptive_simpson(integrand, lo, hi, tol)
-    return prob / ball_volume(1, eps).volume
+    return prob / ball.volume
 
 
 # ---------------------------------------------------------------------------
@@ -342,28 +341,21 @@ def naive_lag_counts(x, y, epsilon) -> np.ndarray:
 def _naive_estimate(x, y, epsilon, variant="complete", gap=None) -> FunctionalEstimate:
     """A reference estimate of q20 (``y`` None) or q11, the sum of its lag counts past the gap.
 
-    The checks and exceptions are those of the matching estimator; an
-    incomplete estimate's gap defaults to floor(log n).
+    The estimators' ``_validated`` checks the arguments, so both fail alike;
+    the count and the normalizer are the reference's own.
     """
-    xp, yp = (as_points(x), None) if y is None else _pair_points(x, y)
+    piece = "q20" if y is None else "q11"
+    xp, yp, eps, g = _validated(piece, x, y, epsilon, variant, gap)
     n = xp.shape[0]
-    if n < 2 and (y is None or variant == "incomplete"):
-        raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    g = None
-    if variant == "incomplete":
-        g = log_gap(n) if gap is None else _check_integer_gap(gap)
-        if g >= n - 1:
-            raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
-    kl = (2, 0) if y is None else (1, 1)
-    config = EstimateConfig(*kl, float(epsilon), variant, g)
-    lags = _lag_counts(xp, yp, config.epsilon * config.epsilon)
+    lags = _lag_counts(xp, yp, eps * eps)
     if g is None:
         count = int(lags.sum())
         pairs = math.comb(n, 2) if y is None else float(n) ** 2
     else:
         count = int(lags[g + 1 :].sum())
         pairs = (1 if y is None else 2) * math.comb(n - g, 2)
-    normalizer = pairs * ball_volume(xp.shape[1], config.epsilon).volume
+    normalizer = pairs * ball_volume(xp.shape[1], eps).volume
+    config = EstimateConfig(*_KL[piece], eps, variant, g)
     return FunctionalEstimate(count / normalizer, count, normalizer, config)
 
 

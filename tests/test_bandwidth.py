@@ -70,8 +70,6 @@ class TestRegimeValidation:
         with pytest.raises(ValueError):
             EpsilonSchedule("thm1iii", d=1, alpha=1.0, c=0.0)
         with pytest.raises(ValueError):
-            EpsilonSchedule("thm1iii", d=1, alpha=1.0, holder_K=-1.0)
-        with pytest.raises(ValueError):
             EpsilonSchedule("thm1iii", d=1, alpha=1.5)
 
 

@@ -92,9 +92,12 @@ class TestEstimate:
         code = main(["estimate", path, "--functional", "renyi2", "--epsilon", "0.01"])
         assert code == 3
 
-    @pytest.mark.parametrize(("d", "eps"), [(2, "1e200"), (3, "1e-110")],
-                             ids=["overflow", "underflow"])
-    def test_volume_beyond_the_float_range_is_input_error(self, tmp_path, capsys, d, eps):
+    # the last case has a finite ball volume, and a normalizer beyond the float range;
+    # no case counts a pair
+    @pytest.mark.parametrize(("d", "eps"), [(2, "1e200"), (3, "1e-110"), (1, "1e307")],
+                             ids=["overflow", "underflow", "normalizer"])
+    def test_volume_beyond_the_float_range_is_input_error(self, tmp_path, capsys, no_count,
+                                                          d, eps):
         path = tmp_path / "x.csv"
         rows = np.random.default_rng(114).random((20, d))
         path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))

@@ -255,6 +255,22 @@ class TestRenyi2:
         assert estimate_renyi2(x, 0.05) == pytest.approx(1.2655121234846454, abs=0.06)
 
 
+# every public estimator and its brute-force reference, called on samples x and y
+_ESTIMATES = {
+    "q20": lambda x, y, eps: estimate_q20(x, eps),
+    "q11": lambda x, y, eps: estimate_q11(x, y, eps),
+    "q20-incomplete": lambda x, y, eps: estimate_q20_incomplete(x, eps),
+    "q11-incomplete": lambda x, y, eps: estimate_q11_incomplete(x, y, eps),
+    "divergence": lambda x, y, eps: estimate_divergence(x, y, eps),
+    "divergence-incomplete": lambda x, y, eps: estimate_divergence(x, y, eps, "incomplete"),
+    "renyi2": lambda x, y, eps: estimate_renyi2(x, eps),
+    "naive-q20": lambda x, y, eps: oracle.naive_q20(x, eps),
+    "naive-q11": lambda x, y, eps: oracle.naive_q11(x, y, eps),
+    "naive-q20-incomplete": lambda x, y, eps: oracle.naive_q20_incomplete(x, eps),
+    "naive-q11-incomplete": lambda x, y, eps: oracle.naive_q11_incomplete(x, y, eps),
+}
+
+
 class TestRadiusExtremes:
     @pytest.mark.parametrize(("d", "eps"), [(2, 1e200), (3, 1e-110)], ids=["overflow", "underflow"])
     def test_volume_beyond_the_float_range_is_rejected(self, d, eps):
@@ -267,6 +283,15 @@ class TestRadiusExtremes:
         x = np.random.default_rng(111).random(20)
         with pytest.raises(ValueError, match=re.escape("d=1, epsilon=1e+307")):
             estimate_q20(x, 1e307)
+
+    @pytest.mark.parametrize("name", list(_ESTIMATES))
+    @pytest.mark.parametrize(("d", "eps", "what"), [
+        (2, 1e200, "ball volume"), (3, 1e-110, "ball volume"), (1, 1e307, "normalizer"),
+    ], ids=["overflow", "underflow", "normalizer"])
+    def test_bad_radius_fails_before_counting(self, no_count, d, eps, what, name):
+        x, y = np.random.default_rng(117).random((2, 20, d))
+        with pytest.raises(ValueError, match=re.escape(f"{what} at d={d}, epsilon={eps!r}")):
+            _ESTIMATES[name](x, y, eps)
 
     def test_tiny_finite_normalizer_gives_inf(self):
         x = np.random.default_rng(112).random((20, 2)) * 1e-160

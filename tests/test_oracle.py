@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qfest import estimators, oracle
 from qfest.estimators import InsufficientDataError
 from qfest.oracle import (
     UnsupportedProcessError,
@@ -220,6 +221,18 @@ class TestNaiveEstimators:
         x = [float(i) for i in range(20)]
         assert naive_q20_incomplete(x, 3.0, 2.0).config.gap == 2
         assert naive_q11_incomplete(x, x, 3.0, 2.0).config.gap == 2
+
+    @pytest.mark.parametrize("name", ["q20", "q11", "q20_incomplete", "q11_incomplete"])
+    def test_overflowing_normalizer_is_rejected_as_by_the_estimator(self, name):
+        # the ball volume 2e307 is finite, but no pair count times it is
+        x, y = np.random.default_rng(118).random((2, 20))
+        args = (x, 1e307) if name.startswith("q20") else (x, y, 1e307)
+        with pytest.raises(ValueError) as want:
+            getattr(estimators, f"estimate_{name}")(*args)
+        with pytest.raises(ValueError) as got:
+            getattr(oracle, f"naive_{name}")(*args)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("normalizer at d=1, epsilon=1e+307 ")
 
 
 class TestNaiveLagCounts:
