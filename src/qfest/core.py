@@ -15,22 +15,24 @@ is the whole predicate: each sample is sorted once per record, and a count is
 a sum of window ends over the sorted rows (a within-count less n(n + 1)/2, a
 cross count the ends of x in y plus those of y in x, less n**2).  At d >= 2 a
 strip grid (the cell method of Bentley, Stanat and Williams, 1977) counts
-every input.  Each coordinate's cells are runs of its sorted values, each cell
-starting at the first value not close to the start of the one before, so a
-close pair lies in neighbouring cells for any radius and at any magnitude.
-The cells of a row are built once per record, on the union of its samples;
-each sample is sorted once by a key of cell ranks, so the candidates of a
-point in each of its 3**(k-1) neighbour strips form one contiguous range, and
-every candidate is checked with the full predicate.  Every gap count is the
-full count minus the near-lag counts up to the gap, each lag a dense
-comparison of the stack shifted along time.
+every input.  Each coordinate but the last is cut into cells, runs of its
+sorted values each starting at the first value not close to the start of the
+one before, so a close pair lies in neighbouring cells at any radius and
+magnitude.  Along the last, each distinct value gets the exact window of the
+values close to it.  Cells and windows are built once per row of a record;
+each sample is sorted once by a key of cell ranks and, fastest, last-value
+ranks, so a point's candidates in each of its 3**(k-1) neighbour strips are
+one contiguous range, and each is checked with the full predicate.  Every gap
+count is the full count minus the near-lag counts up to the gap, each lag a
+dense comparison of the stack shifted along time.
 
 One block size, ``_STACK_BLOCK``, bounds every temporary.  Short rows are
 counted a block of whole rows at a time; a longer row is counted one tile of
 that many sorted queries (each windowed against the whole sorted row) or time
 indices (for the near lags) at a time; and d >= 2 candidate pairs are checked
 that many at a time.  A record so needs the sorted copies of its samples
-(at d >= 2 with their keys) and O(block) more memory per pass.  The passes
+(at d >= 2 with their keys and window ends) and O(block) more memory per
+pass, besides a d >= 2 pass's key and position arrays.  The passes
 of a long d = 1 row run concurrently on a pool of threads that lives for one
 count; short rows are counted in the calling thread.
 """
@@ -202,11 +204,6 @@ def _iter_flat_ranges(lo: np.ndarray, hi: np.ndarray):
         yield slice(r0, r1), lens, np.arange(p0, p1) + np.repeat(lo[r0:r1] - csum[r0:r1], lens)
 
 
-def _columns(pts: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The rows ``order`` of ``pts`` as contiguous coordinate columns, shape (d, n)."""
-    return np.ascontiguousarray(pts.T[:, order])
-
-
 def _close_in_ranges(
     a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps2: float
 ) -> int:
@@ -359,6 +356,16 @@ def _end_sums(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float) -> np.nda
 # some coordinate is so never close.
 
 
+def _distinct_ends(column: np.ndarray, eps: float, eps2: float):
+    """The sorted distinct values of ``column``, each value's rank among them, and their window ends."""
+    values, inverse = np.unique(column, return_inverse=True)
+    ends = np.concatenate([
+        _window_ends(values[None], values[None, s : s + _STACK_BLOCK], eps, eps2)[0]
+        for s in range(0, values.size, _STACK_BLOCK)
+    ])
+    return values, inverse, ends
+
+
 def _cell_ranks(column: np.ndarray, eps: float, eps2: float) -> np.ndarray:
     """The rank of each value's cell along one coordinate.
 
@@ -370,11 +377,7 @@ def _cell_ranks(column: np.ndarray, eps: float, eps2: float) -> np.ndarray:
     differ by two or more are never close, for any radius and at any
     magnitude, and equal values share a cell.
     """
-    values, inverse = np.unique(column, return_inverse=True)
-    ends = np.concatenate([
-        _window_ends(values[None], values[None, s : s + _STACK_BLOCK], eps, eps2)[0]
-        for s in range(0, values.size, _STACK_BLOCK)
-    ])
+    values, inverse, ends = _distinct_ends(column, eps, eps2)
     starts, s = [], int(ends[0])  # the first cell starts at 0
     while s < values.size:
         starts.append(s)
@@ -387,23 +390,33 @@ def _cell_ranks(column: np.ndarray, eps: float, eps2: float) -> np.ndarray:
     return 1 + np.cumsum(jumps)[inverse]
 
 
-def _strip_keys(eps: float, *samples: np.ndarray):
-    """Strip-grid keys of each sample's points, and the key stride of each keyed dimension.
+def _window_starts(end: np.ndarray) -> np.ndarray:
+    """The start of each rank's exact window [start_u, end_u), given ``_distinct_ends``' ends.
 
-    The samples share one set of cells per dimension, the ``_cell_ranks`` of
-    their union; the rule holds on any subset of the values it was built on.
-    Ranks start at 1 with one spare rank past the last, so a step of one rank
-    in any dimension reaches only the cell it should.  The keys are
-    mixed-radix with the last keyed dimension fastest, so sorted keys lay the
-    points out as strips along it.  A dimension whose ranks would carry the
-    key past an int64 is left out of the key and to the full predicate, so
-    every input gets keys.
+    The ends never decrease and (a - b)**2 equals (b - a)**2 bit for bit, so
+    u lies in the window of w < u exactly when end_w > u.
+    """
+    return end.searchsorted(np.arange(end.size), side="right")
+
+
+def _strip_keys(eps: float, *samples: np.ndarray):
+    """Strip-grid keys of each sample's points, the key strides of the strips, and the window ends.
+
+    The samples share the ``_cell_ranks`` of their union in each coordinate
+    but the last, and the windows of the last; the rules hold on any subset
+    of the values they were built on.  The keys are mixed-radix with, fastest,
+    the rank u of the last coordinate among its U distinct values, so sorted
+    keys lay the points out as strips along it.  Cell ranks start at 1 with
+    one spare rank past the last, so a step of one rank reaches only the strip
+    it should.  Room for the last digit is reserved first, and a coordinate
+    whose ranks would carry the key past an int64 is left out of the key and
+    to the full predicate, so every input gets keys.
     """
     eps2 = eps * eps
     keys = np.zeros(sum(len(pts) for pts in samples), dtype=np.int64)
     strides: list[int] = []
-    span = 1
-    for k in range(samples[0].shape[1]):
+    span = keys.size  # room for the last digit
+    for k in range(samples[0].shape[1] - 1):
         ranks = _cell_ranks(np.concatenate([pts[:, k] for pts in samples]), eps, eps2)
         width = int(ranks.max()) + 2
         if span * width > np.iinfo(np.int64).max:
@@ -412,73 +425,69 @@ def _strip_keys(eps: float, *samples: np.ndarray):
         keys *= width
         keys += ranks
         strides = [s * width for s in strides] + [1]
+    _, inverse, end = _distinct_ends(np.concatenate([pts[:, -1] for pts in samples]), eps, eps2)
+    keys *= end.size
+    keys += inverse
     split = np.cumsum([len(pts) for pts in samples])[:-1]
-    return np.split(keys, split), strides
+    return np.split(keys, split), [s * end.size for s in strides], end
 
 
 def _sorted_strips(eps: float, samples: dict):
     """The strip grid of each row of a record's samples.
 
-    ``samples`` maps each sample to its (R, n, d) stack.  The cells of a row
-    are built once, on the union of the samples' rows, and each sample's keys
-    are sorted once.  Returns, per sample, a list over the rows of its sorted
-    keys and its points as coordinate columns in that order, and each row's
-    key strides.
+    ``samples`` maps each sample to its (R, n, d) stack.  The cells and the
+    window ends of a row are built once, on the union of the samples' rows,
+    and each sample's keys are sorted once.  Returns, per sample, a list over
+    the rows of its sorted keys and its points in that order as (d, n)
+    coordinate columns, and each row's frame: its strides and window ends.
     """
-    grids = {key: [] for key in samples}
-    strides = []
+    grids, frames = {key: [] for key in samples}, []
     for rows in zip(*samples.values()):
-        keys, row_strides = _strip_keys(eps, *rows)
-        strides.append(row_strides)
+        keys, *frame = _strip_keys(eps, *rows)
+        frames.append(frame)
         for key, k, pts in zip(samples, keys, rows):
             order = np.argsort(k)
-            grids[key].append((k[order], _columns(pts, order)))
-    return grids, strides
+            grids[key].append((k[order], np.ascontiguousarray(pts.T[:, order])))
+    return grids, frames
 
 
 def _strip_offsets(strides: list[int]) -> list[int]:
-    """Key offsets of the 3**(k-1) strips around a strip, in lexicographic order.
+    """Key offsets of the 3**j strips around a strip (j ``strides``), in lexicographic order.
 
-    ``strides`` are those of the k keyed dimensions.  The middle one is the strip itself; the ones after it are the
+    The middle one is the strip itself; the ones after it are the
     lexicographically positive offsets, one of each +-pair.
     """
-    steps = itertools.product((-1, 0, 1), repeat=len(strides) - 1)
+    steps = itertools.product((-1, 0, 1), repeat=len(strides))
     return [sum(o * s for o, s in zip(step, strides)) for step in steps]
 
 
-def _strip_range(keys: np.ndarray, probe: np.ndarray):
-    """Positions of the sorted ``keys`` within one cell of ``probe`` in the last dimension."""
-    return (
-        np.searchsorted(keys, probe - 1, side="left"),
-        np.searchsorted(keys, probe + 1, side="right"),
-    )
-
-
-def _count_strips(a: list, b: list | None, strides: list, eps2: float) -> np.ndarray:
-    """Close pairs in neighbouring cells of each row's strip grid; ``b=None`` counts within ``a``.
+def _count_strips(a: list, b: list | None, frames: list, eps2: float) -> np.ndarray:
+    """Close pairs in the windows of neighbouring strips of each row's grid; ``b=None`` counts within ``a``.
 
     ``a`` and ``b`` hold, per row, the sorted keys and columns of
-    ``_sorted_strips``, and ``strides`` each row's key strides; the counts
-    have shape (R,).  A between-count takes every ordered pair (a_i, b_j) over
-    all 3**(k-1) strips of the k keyed dimensions.  A within-count is ``a``
-    against itself with each pair found from one side only: the candidates
-    start after the query in key order, and only the query's own strip and
-    the lexicographically positive ones are walked.  The start clips only the
-    own strip; a positive strip lies wholly after the query, and a negative
-    one could hold no later position.
+    ``_sorted_strips``; the counts have shape (R,).  A query of key q and
+    last rank u = q mod U has the candidates [q - u + o + start_u,
+    q - u + o + end_u) in the strip at offset o, for each of the 3**(k-1)
+    strips of the k - 1 coordinates keyed by cells.  A within-count is ``a``
+    against itself with each pair found from one side only: its candidates in
+    the query's own strip start at the query's position + 1, and only the
+    lexicographically positive strips, which lie wholly after it, are walked.
     """
     counts = []
-    for r, ((ka, acols), row_strides) in enumerate(zip(a, strides)):
-        offsets = _strip_offsets(row_strides)
-        if b is None:
-            kb, bcols, first = ka, acols, np.arange(1, ka.size + 1)
-            offsets = offsets[len(offsets) // 2 :]
-        else:
-            (kb, bcols), first = b[r], 0
+    for r, ((ka, acols), (strides, end)) in enumerate(zip(a, frames)):
+        offsets = _strip_offsets(strides)
+        u = ka % end.size
+        lo_keys, hi_keys = _window_starts(end).take(u), end.take(u)
+        u -= ka  # the query's strip, negated; then each offset's probe keys
+        lo_keys -= u
+        hi_keys -= u
+        kb, bcols = (ka, acols) if b is None else b[r]
         count = 0
-        for off in offsets:
-            lo, hi = _strip_range(kb, ka + off)
-            count += _close_in_ranges(acols, bcols, np.maximum(lo, first), hi, eps2)
+        for off in offsets[len(offsets) // 2 :] if b is None else offsets:
+            hi = kb.searchsorted(np.add(hi_keys, off, out=u))
+            own = b is None and off == 0
+            lo = np.arange(1, ka.size + 1) if own else kb.searchsorted(np.add(lo_keys, off, out=u))
+            count += _close_in_ranges(acols, bcols, lo, hi, eps2)
         counts.append(count)
     return np.array(counts, dtype=np.int64)
 
@@ -600,12 +609,12 @@ def _record_counts(pieces, eps: float, max_gap=None) -> list:
         if d == 1:
             ordered = {key: np.sort(rows[..., 0], axis=1) for key, rows in samples.items()}
         else:
-            ordered, strides = _quiet(partial(_sorted_strips, eps, samples))
+            ordered, frames = _quiet(partial(_sorted_strips, eps, samples))
         fulls, lags = [], []  # (the counts a pass adds to, the pass)
         for (full, near), (a, b) in zip(counts, pieces):
             xs, ys = ordered[id(a)], None if b is None else ordered[id(b)]
             if d > 1:
-                fulls.append((full, partial(_count_strips, xs, ys, strides, eps2)))
+                fulls.append((full, partial(_count_strips, xs, ys, frames, eps2)))
             elif b is None:
                 fulls.append((full, partial(_end_sums, xs, xs, eps, eps2)))
             else:

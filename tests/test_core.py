@@ -389,12 +389,13 @@ class TestExactWindows:
 
     def test_sweep_windows_tie_runs(self):
         # d = 2 with tie runs in the first coordinate, one ulp apart at 1e15 and
-        # not close, and none close in the second: the strip grid keys both
+        # not close, and none close in the second: the strip grid keys the
+        # first by cells and windows the second
         k = 50_000
         ulp = np.spacing(1e15)
         x = np.column_stack([np.repeat([1e15, 1e15 + ulp], k), np.arange(2 * k) * 1.0])
-        keys, strides = core._strip_keys(0.6 * ulp, x)
-        assert len(strides) == 2 and len(np.unique(keys[0])) == 2 * k
+        keys, strides, end = core._strip_keys(0.6 * ulp, x)
+        assert len(strides) == 1 and end.size == 2 * k and len(np.unique(keys[0])) == 2 * k
         start = time.monotonic()
         assert count_close_within(x, 0.6 * ulp) == 0
         assert time.monotonic() - start < self.WALL_S
@@ -750,9 +751,9 @@ class TestNoQuadraticFallback:
     def test_never_calls_the_brute_force(self, label, x, y, eps):
         want = _naive_within(x, eps), _naive_between(x, y, eps)
         for samples in ((x,), (x, y)):
-            keys, strides = core._strip_keys(eps, *samples)
+            keys, strides, end = core._strip_keys(eps, *samples)
             assert [len(k) for k in keys] == [len(s) for s in samples]
-            assert 1 <= len(strides) <= x.shape[1]
+            assert len(strides) <= x.shape[1] - 1 and end.size >= 1
         assert (count_close_within(x, eps), count_close_between(x, y, eps)) == want
 
 
@@ -792,7 +793,7 @@ class TestOutputSensitive:
             for count, samples in ((count_close_within, (x,)), (count_close_between, (x, y))):
                 inspected.clear()
                 close = count(*samples, eps)
-                assert sum(inspected) <= 3**d * close + n, (label, count.__name__)
+                assert sum(inspected) <= 3 ** (d - 1) * close + n, (label, count.__name__)
 
 
 _CELL_COLUMNS = {
@@ -831,6 +832,27 @@ class TestCellRanks:
                 for (u, ru), (v, rv) in zip(cells, cells[1:]):
                     if ru != rv:
                         assert (rv - ru == 1) == close[values.index(u)][values.index(v)]
+
+
+class TestValueWindows:
+    """The window rule on its own: each distinct value's [start, end) is exactly its close values."""
+
+    @pytest.mark.parametrize("kind", _CELL_COLUMNS)
+    def test_windows_are_the_close_values(self, kind):
+        rng = np.random.default_rng([2071, list(_CELL_COLUMNS).index(kind)])
+        for _ in range(10):
+            column = _CELL_COLUMNS[kind](rng, int(rng.integers(1, 60)))
+            distinct = np.unique(column)
+            for eps in (0.0, 0.6 * float(np.spacing(1e15)), 1.0, 1e150, 1e155):
+                eps2 = eps * eps
+                with np.errstate(over="ignore"):  # as the kernel and the reference call them
+                    values, rank, end = core._distinct_ends(column, eps, eps2)
+                    close = [oracle._close_to(p, distinct[:, None], eps2) for p in distinct[:, None]]
+                start = core._window_starts(end)
+                assert values.tolist() == distinct.tolist()
+                assert values[rank].tolist() == column.tolist()
+                for u, near in enumerate(close):
+                    assert np.flatnonzero(near).tolist() == list(range(start[u], end[u]))
 
 
 def _identity_instances():
