@@ -7,8 +7,8 @@ Usage, from the root of the repository::
 Each commit is extracted with ``git archive <rev> | tar -x -C DIR`` into a
 fresh directory, so both sides run from their committed files only.  Each
 workload then runs in its own process, with the checkout's own
-``perfbench/run.py`` and the run length its ``BENCHMARK.json`` sets (or
-``--seconds``), in ``--pairs`` alternating base/head pairs; the side that
+``perfbench/run.py`` and the run length its ``BENCHMARK.json`` sets, in
+``--pairs`` alternating base/head pairs; the side that
 runs first alternates from pair to pair, so a drift of the machine's load
 falls on both sides alike.  The file holds, per workload and side, the median
 and quartiles of ``iter_s``, ``peak_rss_mb`` and ``setup_s`` with every run's
@@ -55,12 +55,10 @@ def extract(rev: str, into: Path) -> dict:
             "src_qfest_lines": {**lines, "total": sum(lines.values())}}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` process on one workload; its final JSON line."""
-    window = [] if seconds is None else ["--seconds", str(seconds)]
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         *window],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -88,29 +86,24 @@ def main(argv=None) -> int:
     parser.add_argument("--head", default="HEAD", help="the revision under test")
     parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="each run's window (default: the benchmark's)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to run (repeatable; default: all)")
     args = parser.parse_args(argv)
-    workloads = args.workload or list(WORKLOADS)
     sides = ("base", "head")
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         checkouts = {side: Path(tmp) / side for side in sides}
         meta = {side: extract(getattr(args, side), checkouts[side]) for side in sides}
         spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-        runs = {w: {side: [] for side in sides} for w in workloads}
+        runs = {w: {side: [] for side in sides} for w in WORKLOADS}
         for pair in range(args.pairs):
-            for w in workloads:
+            for w in WORKLOADS:
                 for side in sides if pair % 2 == 0 else sides[::-1]:
-                    result = run_once(checkouts[side], w, args.seed, args.seconds)
+                    result = run_once(checkouts[side], w, args.seed)
                     runs[w][side].append(result)
                     iter_s = result["metrics"].get("iter_s", {}).get("value")
                     print(f"pair {pair} {w:<14} {side:<4} iter_s {iter_s} "
                           f"correct {result['correct']}", flush=True)
     record = {
-        "seed": args.seed, "pairs": args.pairs, "seconds": seconds,
+        "seed": args.seed, "pairs": args.pairs, "seconds": spec["run_seconds"],
         "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
         "numpy": numpy.__version__, **meta, "workloads": {},
     }
