@@ -2,21 +2,22 @@
 
 Usage, from the root of the repository::
 
-    python3 tools/bench_record.py --base 37f143c --head HEAD --out BENCH_13.json --pairs 10
+    python3 tools/bench_record.py --base 37f143c --head HEAD --out BENCH_13.json
 
 Each commit is extracted with ``git archive <rev> | tar -x -C DIR`` into a
 fresh directory, so both sides run from their committed files only.  Each
 workload then runs in its own process, with the checkout's own
-``perfbench/run.py`` and the run length its ``BENCHMARK.json`` sets, in
-``--pairs`` alternating base/head pairs; the side that
-runs first alternates from pair to pair, so a drift of the machine's load
-falls on both sides alike.  The file holds, per workload and side, the median
-and quartiles of ``iter_s``, ``peak_rss_mb`` and ``setup_s`` with every run's
-value, whether every run checked out, and how many pairs the head won on
-``iter_s``; and, per side, the git sha, the hash of its ``src`` tree and the
-line count of each ``src/qfest/*.py``, as ``wc -l`` gives it; and the CPU
-count and the Python and numpy versions.
-"""
+``perfbench/run.py`` at seed 0, in ten alternating base/head pairs; the side
+that runs first alternates from pair to pair, so a drift of the machine's
+load falls on both sides alike.  Each ``run.py`` takes its run length from
+its own ``BENCHMARK.json``; the recorder refuses two commits whose lengths
+differ, as their runs would not be comparable.  The file holds, per workload
+and side, the median and quartiles of ``iter_s``, ``peak_rss_mb`` and
+``setup_s`` with every run's value (``null`` for a run that reported none,
+so the pairs stay aligned), whether every run checked out, and how many
+pairs the head won on ``iter_s``; and, per side, the git sha, the hash of its
+``src`` tree and the line count of each ``src/qfest/*.py``, as ``wc -l``
+gives it; and the CPU count and the Python and numpy versions."""
 
 from __future__ import annotations
 
@@ -35,6 +36,8 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mc-fig1", "estimate-d1", "estimate-grid")
 METRICS = ("iter_s", "peak_rss_mb", "setup_s")
+SEED = 0
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -55,10 +58,10 @@ def extract(rev: str, into: Path) -> dict:
             "src_qfest_lines": {**lines, "total": sum(lines.values())}}
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str) -> dict:
     """One ``perfbench/run.py`` process on one workload; its final JSON line."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -70,14 +73,15 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return result
 
 
-def summary(values: list[float]) -> dict:
-    """Median and quartiles of the runs, with the runs themselves."""
+def summary(runs: list[float | None]) -> dict:
+    """Median and quartiles of the runs that reported a value, with every run."""
+    values = [v for v in runs if v is not None]
     if len(values) < 2:
         q1 = q3 = values[0] if values else None
     else:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values) if values else None, "q1": q1, "q3": q3,
-            "runs": values}
+            "runs": runs}
 
 
 def main(argv=None) -> int:
@@ -85,37 +89,39 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="the revision to compare against")
     parser.add_argument("--head", default="HEAD", help="the revision under test")
     parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     sides = ("base", "head")
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         checkouts = {side: Path(tmp) / side for side in sides}
         meta = {side: extract(getattr(args, side), checkouts[side]) for side in sides}
-        spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        seconds = {side: json.loads((checkouts[side] / "BENCHMARK.json").read_text(
+            encoding="utf-8"))["run_seconds"] for side in sides}
+        if seconds["base"] != seconds["head"]:
+            parser.error(f"the two commits run for different lengths: {seconds}")
         runs = {w: {side: [] for side in sides} for w in WORKLOADS}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             for w in WORKLOADS:
                 for side in sides if pair % 2 == 0 else sides[::-1]:
-                    result = run_once(checkouts[side], w, args.seed)
+                    result = run_once(checkouts[side], w)
                     runs[w][side].append(result)
                     iter_s = result["metrics"].get("iter_s", {}).get("value")
                     print(f"pair {pair} {w:<14} {side:<4} iter_s {iter_s} "
                           f"correct {result['correct']}", flush=True)
     record = {
-        "seed": args.seed, "pairs": args.pairs, "seconds": spec["run_seconds"],
+        "seed": SEED, "pairs": PAIRS, "seconds": seconds["head"],
         "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
         "numpy": numpy.__version__, **meta, "workloads": {},
     }
     for w, by_side in runs.items():
-        entry = {side: {m: summary([r["metrics"][m]["value"] for r in by_side[side]
-                                    if m in r["metrics"]])
+        entry = {side: {m: summary([r["metrics"].get(m, {}).get("value")
+                                    for r in by_side[side]])
                         for m in METRICS}
                  for side in sides}
         entry["correct"] = all(r["correct"] and r["exit"] == 0
                                for side in sides for r in by_side[side])
         base, head = (entry[side]["iter_s"]["runs"] for side in sides)
-        entry["head_faster_pairs"] = sum(h < b for b, h in zip(base, head))
+        entry["head_faster_pairs"] = sum(b is not None and h is not None and h < b
+                                         for b, h in zip(base, head))
         record["workloads"][w] = entry
     record["correct"] = all(e["correct"] for e in record["workloads"].values())
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
