@@ -26,25 +26,24 @@ one contiguous range, and each is checked with the full predicate.  Every gap
 count is the full count minus the near-lag counts up to the gap, each lag a
 dense comparison of the stack shifted along time.
 
-One block size, ``_STACK_BLOCK``, bounds every temporary.  Short rows are
-counted a block of whole rows at a time; a longer row is counted one tile of
-that many sorted queries (each windowed against the whole sorted row) or time
-indices (for the near lags) at a time; and d >= 2 candidate pairs are checked
-that many at a time.  A record so needs the sorted copies of its samples
-(at d >= 2 with their keys and window ends) and O(block) more memory per
-pass, besides a d >= 2 pass's key and position arrays.  The passes
-of a long d = 1 row run concurrently on a pool of threads that lives for one
-count; short rows are counted in the calling thread.
+Each window end starts from a guess, placed by one stable merge of the
+sorted guesses q + eps with their sorted row; the exact predicate then moves
+the guesses that missed.  One block size, ``_STACK_BLOCK``, bounds every
+temporary.  Short rows are counted a block of whole rows at a time, each
+block's guesses merged with one argsort; a longer row is counted one tile of
+that many sorted queries or time indices (for the near lags) at a time, each
+tile's guesses merged with the span of the row they cover a piece of that
+many values at a time; a d >= 2 pass takes its queries a tile at a time; and
+d >= 2 candidate pairs are checked that many at a time.  A record so needs
+the sorted copies of its samples (at d >= 2 with their keys and window ends)
+and O(block) more memory per pass.  Every pass runs in the calling thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -267,16 +266,39 @@ def _gallop(inside: np.ndarray, limit: np.ndarray, step: int, holds) -> np.ndarr
     return outside
 
 
-def _search_span(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``x.searchsorted(g, side="right")`` for sorted ``g``, searching only the span it covers.
+def _merged_ends(xs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``searchsorted(side="right")`` of each row of sorted ``g`` in its row of sorted ``xs``.
 
-    A tile of a long row's queries covers a short span of the row, so its
-    binary searches stay in cache.
+    Each row is merged with its guesses by one stable argsort of the whole
+    stack, row values first, so a guess stays behind the values equal to it
+    and after the guesses before it: its merged position less its own index
+    is the number of row values at or below it.
+    """
+    rows, width = len(g), xs.shape[1] + g.shape[1]
+    order = np.argsort(np.concatenate((xs, g), axis=1), axis=1, kind="stable")
+    ends = np.flatnonzero(order >= xs.shape[1]).reshape(g.shape)  # merged positions, flattened
+    ends -= np.arange(0, rows * width, width)[:, None]
+    ends -= np.arange(g.shape[1])
+    return ends
+
+
+def _span_ends(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``_merged_ends`` of the sorted guesses ``g`` in one long sorted row ``x``.
+
+    The span of ``x`` that the guesses cover is merged a piece of
+    ``_STACK_BLOCK`` values at a time, with the guesses whose ends lie in it:
+    those at or above the value before the piece and below its last value.
+    Pieces no guess ends in are skipped, so the temporaries stay O(block)
+    however many values the span holds.
     """
     lo, hi = x.searchsorted(g[[0, -1]], side="right")
-    found = x[lo:hi].searchsorted(g, side="right")
-    found += lo
-    return found
+    starts = np.arange(lo, max(hi, lo + 1), _STACK_BLOCK)
+    cuts = [0, *g.searchsorted(x[starts[1:] - 1]).tolist(), g.size]
+    ends = np.empty(g.size, dtype=np.intp)
+    for s, a, b in zip(starts.tolist(), cuts, cuts[1:]):
+        if a < b:
+            ends[a:b] = _merged_ends(x[None, s : min(s + _STACK_BLOCK, hi)], g[None, a:b])[0] + s
+    return ends
 
 
 def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.ndarray:
@@ -288,20 +310,22 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     queries; the queries of row r are windowed in row r of ``xs`` only.  The
     end is the first value above the query that fails ``diff*diff <= eps2``.
     Rounding is monotone, so the predicate holds on a contiguous run of a
-    sorted row, and the guesses ``q + eps`` of a row stay sorted.  Each row's
-    searchsorted guess is checked once, for the whole stack, against the
-    values on both sides of it; only the queries where the exact predicate
-    disagrees are then grown or shrunk, by galloping, each stopping at its
-    own row's bounds.
+    sorted row, and the guesses ``q + eps`` of a row stay sorted.  The guesses
+    are placed by one stable merge with their rows, the whole stack at once
+    for rows of up to ``_STACK_BLOCK`` values and a piece of the span at a
+    time for longer ones.  Each guess is then checked once, for the whole
+    stack, against the values on both sides of it; only the queries where the
+    exact predicate disagrees are grown or shrunk, by galloping, each stopping
+    at its own row's bounds.
     """
     rows, n = xs.shape
     m = q.shape[1]
     first = np.arange(0, rows * n, n)[:, None]  # each row's offset in the flattened stack
-    found = [
-        _search_span(x, g) if m < n else x.searchsorted(g, side="right")
-        for x, g in zip(xs, q + eps)
-    ]
-    ends = found[0][None] if rows == 1 else np.concatenate(found).reshape(q.shape)
+    g = q + eps
+    if n <= _STACK_BLOCK:
+        ends = _merged_ends(xs, g)
+    else:
+        ends = np.stack([_span_ends(x, gr) for x, gr in zip(xs, g)])
     flat_x, flat_q = xs.ravel(), q.ravel()
 
     def close(x, qv):  # squares the difference in the fresh array x
@@ -390,13 +414,13 @@ def _cell_ranks(column: np.ndarray, eps: float, eps2: float) -> np.ndarray:
     return 1 + np.cumsum(jumps)[inverse]
 
 
-def _window_starts(end: np.ndarray) -> np.ndarray:
-    """The start of each rank's exact window [start_u, end_u), given ``_distinct_ends``' ends.
+def _window_starts(end: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The start of each rank u's exact window [start_u, end_u), given ``_distinct_ends``' ends.
 
     The ends never decrease and (a - b)**2 equals (b - a)**2 bit for bit, so
     u lies in the window of w < u exactly when end_w > u.
     """
-    return end.searchsorted(np.arange(end.size), side="right")
+    return end.searchsorted(u, side="right")
 
 
 def _strip_keys(eps: float, *samples: np.ndarray):
@@ -472,22 +496,30 @@ def _count_strips(a: list, b: list | None, frames: list, eps2: float) -> np.ndar
     against itself with each pair found from one side only: its candidates in
     the query's own strip start at the query's position + 1, and only the
     lexicographically positive strips, which lie wholly after it, are walked.
+    The queries are taken a tile of ``_STACK_BLOCK`` at a time, so the probe
+    keys and candidate ranges of a pass are O(block).
     """
     counts = []
     for r, ((ka, acols), (strides, end)) in enumerate(zip(a, frames)):
         offsets = _strip_offsets(strides)
-        u = ka % end.size
-        lo_keys, hi_keys = _window_starts(end).take(u), end.take(u)
-        u -= ka  # the query's strip, negated; then each offset's probe keys
-        lo_keys -= u
-        hi_keys -= u
+        offsets = offsets[len(offsets) // 2 :] if b is None else offsets
         kb, bcols = (ka, acols) if b is None else b[r]
         count = 0
-        for off in offsets[len(offsets) // 2 :] if b is None else offsets:
-            hi = kb.searchsorted(np.add(hi_keys, off, out=u))
-            own = b is None and off == 0
-            lo = np.arange(1, ka.size + 1) if own else kb.searchsorted(np.add(lo_keys, off, out=u))
-            count += _close_in_ranges(acols, bcols, lo, hi, eps2)
+        for s in range(0, ka.size, _STACK_BLOCK):
+            tile = ka[s : s + _STACK_BLOCK]
+            u = tile % end.size
+            lo_keys, hi_keys = _window_starts(end, u), end.take(u)
+            u -= tile  # the query's strip, negated; then each offset's probe keys
+            lo_keys -= u
+            hi_keys -= u
+            cols = acols[:, s : s + _STACK_BLOCK]
+            for off in offsets:
+                hi = kb.searchsorted(np.add(hi_keys, off, out=u))
+                if b is None and off == 0:
+                    lo = np.arange(s + 1, s + tile.size + 1)
+                else:
+                    lo = kb.searchsorted(np.add(lo_keys, off, out=u))
+                count += _close_in_ranges(cols, bcols, lo, hi, eps2)
         counts.append(count)
     return np.array(counts, dtype=np.int64)
 
@@ -538,36 +570,6 @@ def _near_lags(a: np.ndarray, b: np.ndarray | None, eps2: float, max_gap: int) -
     return near.T
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _quiet(task):
-    # squares of huge differences overflow to inf and compare as not close, as
-    # in the brute force; numpy's error state does not carry into worker
-    # threads, so each task sets its own
-    with np.errstate(over="ignore"):
-        return task()
-
-
-def _run(tasks: list, concurrent: bool) -> list:
-    """The results of ``tasks``, in order.
-
-    They run on a pool of threads, one per task up to the CPUs at hand, when
-    ``concurrent`` and more than one task and CPU are at hand, and in this
-    thread otherwise.  The pool lives for this call only.
-    """
-    workers = min(len(tasks), _cpus()) if concurrent and len(tasks) > 1 else 1
-    if workers < 2:
-        return [_quiet(task) for task in tasks]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(_quiet, tasks))
-
-
 def _record_counts(pieces, eps: float, max_gap=None) -> list:
     """Full and near-lag close-pair counts of each piece of one record.
 
@@ -580,15 +582,14 @@ def _record_counts(pieces, eps: float, max_gap=None) -> list:
     lag h is j - i = h within ``a`` (lag 0 holds none), |j - i| = h between.
 
     The stacks are counted in blocks of whole rows of about ``_STACK_BLOCK``
-    values, or one row at a time when a row is longer.  A block's passes form
-    one task list: one strip-grid pass per piece at d >= 2; at d = 1, one
-    pass of window ends per within-piece and two per cross piece; and one
-    near-lag pass per piece when ``max_gap`` is given.  Each sample is sorted
-    once per block, in this thread, and shared by every piece that uses it:
-    at d = 1 its sorted rows, at d >= 2 its points in the order of their
-    strip keys, on cells built once per row for all the samples.  The passes
-    of a long d = 1 row run concurrently; they allocate only tile-sized
-    temporaries, and integer sums do not depend on the order they finish in.
+    values, or one row at a time when a row is longer.  A block's passes are
+    one strip-grid pass per piece at d >= 2; at d = 1, one pass of window
+    ends per within-piece and two per cross piece; and one near-lag pass per
+    piece when ``max_gap`` is given.  Each sample is sorted once per block
+    and shared by every piece that uses it: at d = 1 its sorted rows, at
+    d >= 2 its points in the order of their strip keys, on cells built once
+    per row for all the samples.  Every pass runs in the calling thread and
+    allocates only tile-sized temporaries.
     """
     eps2 = eps * eps
     rows, n, d = pieces[0][0].shape
@@ -600,35 +601,31 @@ def _record_counts(pieces, eps: float, max_gap=None) -> list:
         )
         for _ in pieces
     ]
-    for r in range(0, rows, step):
-        block = slice(r, r + step)
-        samples = {}
-        for sample in itertools.chain.from_iterable(pieces):
-            if sample is not None:
-                samples.setdefault(id(sample), sample[block])
-        if d == 1:
-            ordered = {key: np.sort(rows[..., 0], axis=1) for key, rows in samples.items()}
-        else:
-            ordered, frames = _quiet(partial(_sorted_strips, eps, samples))
-        fulls, lags = [], []  # (the counts a pass adds to, the pass)
-        for (full, near), (a, b) in zip(counts, pieces):
-            xs, ys = ordered[id(a)], None if b is None else ordered[id(b)]
-            if d > 1:
-                fulls.append((full, partial(_count_strips, xs, ys, frames, eps2)))
-            elif b is None:
-                fulls.append((full, partial(_end_sums, xs, xs, eps, eps2)))
+    # squares of huge differences overflow to inf and compare as not close, as
+    # in the brute force
+    with np.errstate(over="ignore"):
+        for r in range(0, rows, step):
+            block = slice(r, r + step)
+            samples = {}
+            for sample in itertools.chain.from_iterable(pieces):
+                if sample is not None:
+                    samples.setdefault(id(sample), sample[block])
+            if d == 1:
+                ordered = {key: np.sort(rows[..., 0], axis=1) for key, rows in samples.items()}
             else:
-                fulls.append((full, partial(_end_sums, ys, xs, eps, eps2)))
-                fulls.append((full, partial(_end_sums, xs, ys, eps, eps2)))
-            if near is not None:
-                y = None if b is None else samples[id(b)]
-                lags.append((near, partial(_near_lags, samples[id(a)], y, eps2, max_gap)))
-        # the window passes take longest, so they start first and the pool's
-        # threads finish close together
-        tasks = fulls + lags
-        results = _run([task for _, task in tasks], d == 1 and n > _STACK_BLOCK)
-        for (target, _), value in zip(tasks, results):
-            target[block] += value
+                ordered, frames = _sorted_strips(eps, samples)
+            for (full, near), (a, b) in zip(counts, pieces):
+                xs, ys = ordered[id(a)], None if b is None else ordered[id(b)]
+                if d > 1:
+                    full[block] += _count_strips(xs, ys, frames, eps2)
+                elif b is None:
+                    full[block] += _end_sums(xs, xs, eps, eps2)
+                else:
+                    full[block] += _end_sums(ys, xs, eps, eps2)
+                    full[block] += _end_sums(xs, ys, eps, eps2)
+                if near is not None:
+                    y = None if b is None else samples[id(b)]
+                    near[block] += _near_lags(samples[id(a)], y, eps2, max_gap)
     if d == 1:
         # A within-count's window of sorted query i starts at i + 1, so its
         # count is the sum of its ends less n(n + 1)/2.  A cross count's

@@ -6,7 +6,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -531,32 +530,18 @@ class TestStacks:
             assert near[r].tolist() == one[0].tolist()
 
 
-class TestConcurrentPasses:
-    """A long row's passes count the same on a pool of threads as in one thread.
+class TestTinyBlocks:
+    """With blocks of 5 values every row here is long, so each pass is tiled and
+    each window's guesses are merged a piece of the span at a time, all in the
+    calling thread."""
 
-    With blocks of 5 values every row here is long, so its window and near-lag
-    passes form a task list that runs on a pool whenever two CPUs are at hand.
-    """
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker counts of the pools the kernel opens, in order."""
-        opened = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(core, "ThreadPoolExecutor", Recording)
+    @pytest.fixture(autouse=True)
+    def tiny_blocks(self, monkeypatch):
         monkeypatch.setattr(core, "_STACK_BLOCK", 5)
-        return opened
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_counts_and_records_match_naive(self, monkeypatch, pools, cpus):
-        monkeypatch.setattr(core, "_cpus", lambda: cpus)
-        rng = np.random.default_rng([2067, cpus])
-        instances = 0
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_counts_and_records_match_naive(self, seed):
+        rng = np.random.default_rng([2067, seed])
         for n in (6, 11, 33, 61):
             for make in _TILE_KINDS.values():
                 for eps in _STACK_RADII:
@@ -587,14 +572,8 @@ class TestConcurrentPasses:
                         for piece, lag in row.items():
                             assert record.full[piece][r] == _past(lag)
                             assert record.near[piece][r].tolist() == lag[: gap + 1].tolist()
-                    instances += 1
-        # a pool for every count of more than one pass (all but the complete
-        # within-count) and every row of the record, on two CPUs only
-        assert pools == ([] if cpus == 1 else [2] * (5 * instances))
 
-    def test_huge_coordinates_take_the_pool_without_warnings(self, monkeypatch, pools):
-        # numpy's error state is per thread, so each pass sets its own
-        monkeypatch.setattr(core, "_cpus", lambda: 2)
+    def test_huge_coordinates_without_warnings(self):
         rng = np.random.default_rng(2068)
         xs, ys = rng.normal(size=(2, 2, 40, 1)) * 1e300
         for eps in (1.0, 1e150, 1e155, 1e300):
@@ -607,7 +586,79 @@ class TestConcurrentPasses:
                 assert record.full["q11"][r] == _past(lags_b)
                 assert record.full["q02"][r] == _naive_within(ys[r], eps)
                 assert record.near["q11"][r].tolist() == lags_b[:8].tolist()
-        assert pools == [2] * 8
+
+
+# Values and radii whose guesses q + eps tie with row values, meet across
+# signed zeros (-0.0 + 0.0 is +0.0), equal the queries, or overflow to inf.
+_MERGE_CASES = {
+    "ties": (lambda rng, n: rng.integers(-3, 4, size=n).astype(float), (0.0, 1.0, 2.0)),
+    "signed-zeros": (
+        lambda rng, n: rng.choice([-0.0, 0.0, -5e-324, 5e-324, 1.0], size=n),
+        (0.0, 5e-324, 1.0),
+    ),
+    "radius-0": (lambda rng, n: rng.integers(0, 3, size=n) * 1e-170 + rng.integers(0, 2, size=n), (0.0,)),
+    "overflow": (
+        lambda rng, n: rng.choice([-1.0, 1.0], size=n) * rng.uniform(1.5e308, 1.79e308, size=n),
+        (1e150, 1e308, 1.7e308),
+    ),
+}
+
+
+def _brute_ends(x, q, eps2):
+    """One past the close run of each query in the sorted row ``x``: the values at or below it or close to it."""
+    with np.errstate(over="ignore"):
+        return [int(np.count_nonzero((x <= v) | oracle._close_to(np.array([v]), x[:, None], eps2)))
+                for v in q]
+
+
+def _skewed_pair(n):
+    """Sorted x spread over [-1, 1] and sorted y concentrated about 0, where x is sparse."""
+    rng = np.random.default_rng(2072)
+    return np.sort(rng.uniform(-1.0, 1.0, size=n)), np.sort(rng.normal(size=n) * 1e-6)
+
+
+class TestMergedEnds:
+    """The merged guesses equal ``searchsorted`` and the window ends the brute force."""
+
+    @pytest.mark.parametrize("kind", _MERGE_CASES)
+    @pytest.mark.parametrize("block", [None, 5], ids=["default-block", "block-5"])
+    def test_matches_searchsorted_and_brute_force(self, monkeypatch, kind, block):
+        # with blocks of 5, rows of more than 5 values are merged in pieces
+        if block is not None:
+            monkeypatch.setattr(core, "_STACK_BLOCK", block)
+        make, radii = _MERGE_CASES[kind]
+        rng = np.random.default_rng([2073, list(_MERGE_CASES).index(kind)])
+        for n, m in [(1, 1), (4, 4), (5, 2), (6, 6), (23, 9), (60, 60), (60, 3)]:
+            xs = np.sort(np.stack([make(rng, n) for _ in range(3)]), axis=1)
+            q = np.sort(np.stack([make(rng, m) for _ in range(3)]), axis=1)
+            for eps in radii:
+                with np.errstate(over="ignore"):
+                    g = q + eps
+                    ends = core._window_ends(xs, q, eps, eps * eps)
+                want = [x.searchsorted(r, side="right").tolist() for x, r in zip(xs, g)]
+                assert core._merged_ends(xs, g).tolist() == want
+                assert [core._span_ends(x, r).tolist() for x, r in zip(xs, g)] == want
+                assert ends.tolist() == [_brute_ends(x, r, eps * eps) for x, r in zip(xs, q)]
+
+    def test_skewed_long_row(self):
+        # a tile of x about 0 covers every value of y: a span of about n values
+        n = 4 * core._STACK_BLOCK
+        x, y = _skewed_pair(n)
+        eps = 1e-6
+        tile = x[n // 2 - core._STACK_BLOCK // 2 :][: core._STACK_BLOCK]
+        lo, hi = y.searchsorted(tile[[0, -1]] + eps, side="right")
+        assert hi - lo > 3 * core._STACK_BLOCK
+        ends = core._window_ends(y[None], tile[None], eps, eps * eps)[0]
+        assert core._span_ends(y, tile + eps).tolist() == y.searchsorted(tile + eps, side="right").tolist()
+        picks = np.arange(0, tile.size, 61)
+        assert ends[picks].tolist() == _brute_ends(y, tile[picks], eps * eps)
+
+    def test_skewed_counts_match_naive(self, monkeypatch):
+        monkeypatch.setattr(core, "_STACK_BLOCK", 5)
+        x, y = _skewed_pair(300)
+        for eps in (0.0, 1e-6, 0.01):
+            assert count_close_between(x, y, eps) == _naive_between(x, y, eps)
+            assert count_close_within(y, eps) == _naive_within(y, eps)
 
 
 def _traced_peak(func, *args):
@@ -639,24 +690,40 @@ class TestMemoryBounds:
         peak = _traced_peak(getattr(core, f"count_close_{count}"), *args)
         assert peak <= bound * sum(v.nbytes for v in samples)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("gap", [None, 13], ids=["complete", "gap-13"])
-    def test_traced_peak_of_a_divergence_record(self, monkeypatch, gap, cpus):
+    def test_traced_peak_of_a_divergence_record(self, gap):
         # each sample is sorted once for all three pieces and no mirrored copy
-        # is made; each concurrent pass adds only its tiles
-        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        # is made; each pass adds only its tiles
         n = 200_000
         x, y = np.random.default_rng([2066, 1]).normal(size=(2, 1, n, 1))
         peak = _traced_peak(_count_stack, "divergence", x, y, math.log(n) / n, gap)
         assert peak <= 1.6 * (x.nbytes + y.nbytes)
 
+    def test_traced_peak_of_a_skewed_pass(self):
+        # the tile of x about 0 spans all eight blocks of y: merged whole, its
+        # guesses took about 19 blocks of floats, and cut at every block about 6
+        x, y = _skewed_pair(8 * core._STACK_BLOCK)
+        peak = _traced_peak(core._end_sums, y[None], x[None], 1e-6, 1e-12)
+        assert peak <= 8 * x[: core._STACK_BLOCK].nbytes
+
     @pytest.mark.parametrize("gap", [None, 13], ids=["complete", "gap-13"])
     def test_traced_peak_of_a_d2_divergence_record(self, gap):
-        # the cells of x and y are built once, and each sample's keys sorted once
+        # the cells of x and y are built once, and each sample's keys sorted once;
+        # the peak, 4.57 times the input, is in building them
         n = 50_000
         x, y = np.random.default_rng([2066, 2]).normal(size=(2, 1, n, 2))
         peak = _traced_peak(_count_stack, "divergence", x, y, math.log(n) / math.sqrt(n), gap)
-        assert peak <= 8 * (x.nbytes + y.nbytes)
+        assert peak <= 5 * (x.nbytes + y.nbytes)
+
+    def test_traced_peak_of_a_d2_strip_pass(self):
+        # a pass takes its queries a tile at a time, so its probe keys, window
+        # starts and candidate ranges are O(block), not O(n)
+        n = 100_000
+        x, y = np.random.default_rng([2066, 2]).normal(size=(2, 1, n, 2))
+        eps = math.log(n) / math.sqrt(n)
+        grids, frames = core._sorted_strips(eps, {"x": x, "y": y})
+        peak = _traced_peak(core._count_strips, grids["x"], grids["y"], frames, eps * eps)
+        assert peak <= 16 * x[0, : core._STACK_BLOCK, 0].nbytes
 
 
 def _clustered(rng, n, d, spread):
@@ -848,7 +915,7 @@ class TestValueWindows:
                 with np.errstate(over="ignore"):  # as the kernel and the reference call them
                     values, rank, end = core._distinct_ends(column, eps, eps2)
                     close = [oracle._close_to(p, distinct[:, None], eps2) for p in distinct[:, None]]
-                start = core._window_starts(end)
+                start = core._window_starts(end, np.arange(end.size))
                 assert values.tolist() == distinct.tolist()
                 assert values[rank].tolist() == column.tolist()
                 for u, near in enumerate(close):

@@ -502,36 +502,6 @@ class TestCountOnce:
         # each piece is counted to the largest gap any estimator asks for
         assert max_gap == log_gap(100)
 
-    def test_chunk_opens_no_thread_pool(self, monkeypatch):
-        # fig1 rows are short, so a chunk's passes run in the calling thread
-        # even where many CPUs are at hand; the fake starts no thread
-        opened = []
-
-        class NoPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, tasks):
-                return map(func, tasks)
-
-        monkeypatch.setattr(core, "ThreadPoolExecutor", NoPool)
-        monkeypatch.setattr(core, "_cpus", lambda: 8)
-        plan = _fig1_plan(reps=4)
-        for gi, n in enumerate(plan.ns):
-            mc._eval_chunk(plan, gi, n, plan.schedule.epsilon_at(n), 0, plan.reps)
-        assert opened == []
-        # the fake does stand in for the pool of a long row's passes
-        long_row = np.zeros((1, core._STACK_BLOCK + 1, 1))
-        (_, near), = core._record_counts([(long_row, None)], 1.0, 1)
-        assert near.tolist() == [[0, core._STACK_BLOCK]]
-        assert opened == [2]
-
     def test_chunk_builds_no_config_or_estimate(self, monkeypatch):
         # validation stays at the public boundary: a chunk's values are
         # arithmetic on its count record, with no per-replication record

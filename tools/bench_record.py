@@ -13,8 +13,10 @@ load falls on both sides alike.  Each ``run.py`` takes its run length from
 its own ``BENCHMARK.json``; the recorder refuses two commits whose lengths
 differ, as their runs would not be comparable.  The file holds, per workload
 and side, the median and quartiles of ``iter_s``, ``peak_rss_mb`` and
-``setup_s`` with every run's value (``null`` for a run that reported none,
-so the pairs stay aligned), whether every run checked out, and how many
+``setup_s``, and of every informational line a run printed (such as
+``two_workers_s``, ``estimate_s`` and ``reps_per_s.1w``), with every run's
+value (``null`` for a run that reported none, so the pairs stay aligned),
+whether every run checked out, and how many
 pairs the head won on ``iter_s``; and, per side, the git sha, the hash of its
 ``src`` tree and the line count of each ``src/qfest/*.py``, as ``wc -l``
 gives it; and the CPU count and the Python and numpy versions."""
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -38,6 +41,8 @@ WORKLOADS = ("mc-fig1", "estimate-d1", "estimate-grid")
 METRICS = ("iter_s", "peak_rss_mb", "setup_s")
 SEED = 0
 PAIRS = 10
+# an informational line of ``perfbench/run.py``: name, value, unit
+INFO = re.compile(r"^\s+(\S+)\s+(\S+)\s+\S+ \(informational\)$")
 
 
 def git(*args: str) -> str:
@@ -59,7 +64,7 @@ def extract(rev: str, into: Path) -> dict:
 
 
 def run_once(checkout: Path, workload: str) -> dict:
-    """One ``perfbench/run.py`` process on one workload; its final JSON line."""
+    """One ``perfbench/run.py`` process on one workload: its final JSON line and informational lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED)],
         cwd=checkout, capture_output=True, text=True,
@@ -70,6 +75,7 @@ def run_once(checkout: Path, workload: str) -> dict:
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "metrics": {}}
     result["exit"] = proc.returncode
+    result["info"] = {m[1]: float(m[2]) for m in map(INFO.match, lines) if m}
     return result
 
 
@@ -117,6 +123,10 @@ def main(argv=None) -> int:
                                     for r in by_side[side]])
                         for m in METRICS}
                  for side in sides}
+        for side in sides:
+            names = dict.fromkeys(k for r in by_side[side] for k in r["info"])
+            entry[side]["info"] = {k: summary([r["info"].get(k) for r in by_side[side]])
+                                   for k in names}
         entry["correct"] = all(r["correct"] and r["exit"] == 0
                                for side in sides for r in by_side[side])
         base, head = (entry[side]["iter_s"]["runs"] for side in sides)
