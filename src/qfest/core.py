@@ -272,13 +272,13 @@ def _merged_ends(xs: np.ndarray, g: np.ndarray) -> np.ndarray:
     Each row is merged with its guesses by one stable argsort of the whole
     stack, row values first, so a guess stays behind the values equal to it
     and after the guesses before it: its merged position less its own index
-    is the number of row values at or below it.
+    is the number of row values at or below it.  Counted over the flattened
+    stacks, guess j of row r less the r*m + j guesses before it is at that
+    number plus r*n, so the ends come out as positions in ``xs.ravel()``.
     """
-    rows, width = len(g), xs.shape[1] + g.shape[1]
     order = np.argsort(np.concatenate((xs, g), axis=1), axis=1, kind="stable")
-    ends = np.flatnonzero(order >= xs.shape[1]).reshape(g.shape)  # merged positions, flattened
-    ends -= np.arange(0, rows * width, width)[:, None]
-    ends -= np.arange(g.shape[1])
+    ends = np.flatnonzero(order >= xs.shape[1])
+    ends -= np.arange(ends.size)
     return ends
 
 
@@ -297,7 +297,7 @@ def _span_ends(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     ends = np.empty(g.size, dtype=np.intp)
     for s, a, b in zip(starts.tolist(), cuts, cuts[1:]):
         if a < b:
-            ends[a:b] = _merged_ends(x[None, s : min(s + _STACK_BLOCK, hi)], g[None, a:b])[0] + s
+            ends[a:b] = _merged_ends(x[None, s : min(s + _STACK_BLOCK, hi)], g[None, a:b]) + s
     return ends
 
 
@@ -322,10 +322,10 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     m = q.shape[1]
     first = np.arange(0, rows * n, n)[:, None]  # each row's offset in the flattened stack
     g = q + eps
-    if n <= _STACK_BLOCK:
-        ends = _merged_ends(xs, g)
+    if n <= _STACK_BLOCK:  # the ends' positions in the flattened stack
+        flat = _merged_ends(xs, g)
     else:
-        ends = np.stack([_span_ends(x, gr) for x, gr in zip(xs, g)])
+        flat = (np.stack([_span_ends(x, gr) for x, gr in zip(xs, g)]) + first).ravel()
     flat_x, flat_q = xs.ravel(), q.ravel()
 
     def close(x, qv):  # squares the difference in the fresh array x
@@ -336,10 +336,9 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     def beyond(x, qv):  # above the query and not close
         return (x > qv) & ~close(x, qv)
 
-    # whether the value at the end, and the one before it, lie in the query's row
-    at_end, before_end = (ends < n).ravel(), (ends > 0).ravel()
-    ends += first  # the ends' positions in the flattened stack, viewed by ``flat``
-    flat = ends.ravel()
+    # whether the value at the end, and the one before it, lie in the query's
+    # row: the end is the number of the row's values at or below the guess
+    at_end, before_end = (g < xs[:, -1:]).ravel(), (g >= xs[:, :1]).ravel()
     grow = np.flatnonzero(at_end & close(flat_x.take(flat, mode="clip"), flat_q))
     flat -= 1
     shrink = np.flatnonzero(before_end & beyond(flat_x.take(flat, mode="clip"), flat_q))
@@ -354,8 +353,7 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
             flat[shrink] - 1, shrink // m * n - 1, -1,
             lambda pos, k: beyond(flat_x[pos], flat_q[shrink[k]]),
         )
-    ends -= first
-    return ends
+    return flat.reshape(q.shape) - first
 
 
 def _end_sums(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float) -> np.ndarray:

@@ -636,7 +636,9 @@ class TestMergedEnds:
                     g = q + eps
                     ends = core._window_ends(xs, q, eps, eps * eps)
                 want = [x.searchsorted(r, side="right").tolist() for x, r in zip(xs, g)]
-                assert core._merged_ends(xs, g).tolist() == want
+                # positions in the flattened stack: row r's ends plus r * n
+                merged = core._merged_ends(xs, g).reshape(q.shape) - np.arange(0, 3 * n, n)[:, None]
+                assert merged.tolist() == want
                 assert [core._span_ends(x, r).tolist() for x, r in zip(xs, g)] == want
                 assert ends.tolist() == [_brute_ends(x, r, eps * eps) for x, r in zip(xs, q)]
 
