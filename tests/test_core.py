@@ -692,12 +692,14 @@ class TestMemoryBounds:
         peak = _traced_peak(getattr(core, f"count_close_{count}"), *args)
         assert peak <= bound * sum(v.nbytes for v in samples)
 
+    @pytest.mark.parametrize("rows", [1, 2, 8])
     @pytest.mark.parametrize("gap", [None, 13], ids=["complete", "gap-13"])
-    def test_traced_peak_of_a_divergence_record(self, gap):
+    def test_traced_peak_of_a_divergence_record(self, gap, rows):
         # each sample is sorted once for all three pieces and no mirrored copy
-        # is made; each pass adds only its tiles
-        n = 200_000
-        x, y = np.random.default_rng([2066, 1]).normal(size=(2, 1, n, 1))
+        # is made; each pass adds only its tiles, however the same input is
+        # split into rows of the stack
+        n = 200_000 // rows
+        x, y = np.random.default_rng([2066, 1]).normal(size=(2, rows, n, 1))
         peak = _traced_peak(_count_stack, "divergence", x, y, math.log(n) / n, gap)
         assert peak <= 1.6 * (x.nbytes + y.nbytes)
 
