@@ -10,7 +10,10 @@ Subcommands::
 
 Every flag of a subcommand can also be supplied through ``--config FILE``
 holding ``key=value`` lines (keys are the flag names with dashes replaced by
-underscores); explicit flags override file values, unknown keys are rejected.
+underscores); unknown keys are rejected.  A ``simulate --preset`` is a named
+set of flag values, and a config file may name one too (``preset=fig1``).
+Each option takes its value from the last of four layers that sets it:
+defaults < preset < ``--config`` file < explicit flags.
 
 Processes are selected by compact spec strings, e.g.
 ``gaussian-ma:taps=0.5|-0.5|0.5:shift=1``, ``min-exp:rate=0.3333:window=3``,
@@ -63,173 +66,6 @@ from .processes import (
 
 class _InputError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Option tables (shared by argparse and the key=value config files)
-# ---------------------------------------------------------------------------
-
-
-def _to_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"cannot parse boolean {text!r}")
-
-
-def _to_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip() != "")
-
-
-def _to_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip() != "")
-
-
-def _choice(*allowed):
-    def convert(text: str):
-        if text not in allowed:
-            raise ValueError(f"must be one of {', '.join(allowed)}; got {text!r}")
-        return text
-
-    return convert
-
-
-@dataclass(frozen=True)
-class _Opt:
-    name: str
-    convert: object = str
-    default: object = None
-    required: bool = False
-    flag: bool = False
-    help: str = ""
-
-    @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
-
-
-_ESTIMATE_OPTS = (
-    _Opt("functional", _choice("q20", "q02", "q11", "divergence", "renyi2"),
-         required=True, help="which functional to estimate"),
-    _Opt("epsilon", float, required=True, help="close-pair radius (> 0)"),
-    _Opt("variant", _choice("complete", "incomplete"), default="complete"),
-    _Opt("gap", int, help="index-separation gap for the incomplete variant "
-                          "(default: floor(log n))"),
-    _Opt("clamp", _to_bool, default=False, flag=True,
-         help="floor a negative divergence estimate at zero"),
-)
-
-_GENERATE_OPTS = (
-    _Opt("process", str, required=True, help="process spec string"),
-    _Opt("n", int, required=True, help="number of observations"),
-    _Opt("seed", int, default=0),
-    _Opt("stream", int, default=0, help="stream id for independent replications"),
-    _Opt("out", str, required=True, help="output CSV path"),
-)
-
-_TRUTH_OPTS = (
-    _Opt("process-x", str, required=True, help="process spec string"),
-    _Opt("process-y", str, help="second process spec (defaults to the first)"),
-    _Opt("method", _choice("auto", "closed-form", "quadrature"), default="auto"),
-)
-
-_SIMULATE_OPTS = (
-    _Opt("preset", _choice("fig1", "fig2-left", "fig2-right", "smoke"),
-         help="named reference experiment"),
-    _Opt("process-x", str, help="process spec string"),
-    _Opt("process-y", str, help="second process spec (two-sample functionals)"),
-    _Opt("functional", _choice(*_PIECES)),
-    _Opt("estimators", str, default="complete",
-         help="comma list of complete|incomplete[:log|:sqrt|:fixed=K]"),
-    _Opt("schedule", _choice(*REGIMES), default="thm1iii"),
-    _Opt("alpha", float, default=1.0, help="smoothness exponent of the schedule"),
-    _Opt("c", _to_float_list, default=(1.0,),
-         help="comma list of schedule constants; one output file per value"),
-    _Opt("d", int, default=1, help="dimension used by the schedule"),
-    _Opt("n-grid", _to_int_list, default=(100, 200, 400, 700, 1000)),
-    _Opt("reps", int, default=1000),
-    _Opt("seed", int, default=0),
-    _Opt("truth", float, help="override the oracle truth (reference value)"),
-    _Opt("label", str, help="process label for the CSV"),
-    _Opt("out", str, required=True, help="output CSV path"),
-    _Opt("plot-data", str, help="also write log-log plot data here"),
-    _Opt("threads", int, default=1, help="worker processes (capped by QFEST_THREADS)"),
-)
-
-_RATES_OPTS = (
-    _Opt("expected-slope", float, help="check the fitted slope against this value"),
-    _Opt("band", float, default=0.25, help="half-width of the slope acceptance band"),
-)
-
-
-def _add_options(parser: argparse.ArgumentParser, opts: tuple[_Opt, ...]) -> None:
-    parser.add_argument("--config", default=argparse.SUPPRESS,
-                        help="key=value file mirroring the flags")
-    for opt in opts:
-        if opt.flag:
-            parser.add_argument(f"--{opt.name}", dest=opt.dest, action="store_true",
-                                default=argparse.SUPPRESS, help=opt.help)
-        else:
-            parser.add_argument(f"--{opt.name}", dest=opt.dest, type=str,
-                                default=argparse.SUPPRESS, help=opt.help)
-
-
-def _read_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise _InputError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise _InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _merge(ns: argparse.Namespace, opts: tuple[_Opt, ...]) -> tuple[dict, set[str]]:
-    """Defaults, overlaid by config-file values, overlaid by explicit flags.
-
-    Returns the merged values and the set of keys the user actually supplied
-    (by flag or config file), so presets can fill in only the rest.
-    """
-    by_dest = {opt.dest: opt for opt in opts}
-    merged = {opt.dest: opt.default for opt in opts}
-    provided: set[str] = set()
-    given = dict(vars(ns))
-    given.pop("command", None)
-    for positional in ("inputs", "csv"):
-        given.pop(positional, None)
-    config_path = given.pop("config", None)
-    if config_path is not None:
-        for key, raw in _read_config(config_path).items():
-            if key not in by_dest:
-                raise _InputError(f"unknown config key {key!r}")
-            try:
-                merged[key] = by_dest[key].convert(raw)
-            except ValueError as exc:
-                raise _InputError(f"config key {key}: {exc}") from exc
-            provided.add(key)
-    for dest, raw in given.items():
-        opt = by_dest[dest]
-        if opt.flag:
-            merged[dest] = bool(raw)
-        else:
-            try:
-                merged[dest] = opt.convert(raw)
-            except ValueError as exc:
-                raise _InputError(f"--{opt.name}: {exc}") from exc
-        provided.add(dest)
-    for opt in opts:
-        if opt.required and merged[opt.dest] is None:
-            raise _InputError(f"missing required option --{opt.name}")
-    return merged, provided
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +164,183 @@ def _parse_estimator_tokens(text: str, functional: str) -> tuple[EstimatorSpec, 
 
 
 # ---------------------------------------------------------------------------
+# Option tables (shared by argparse and the key=value config files)
+# ---------------------------------------------------------------------------
+
+
+def _to_bool(text: str) -> bool:
+    low = str(text).strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"cannot parse boolean {text!r}")
+
+
+def _list_of(convert):
+    def convert_list(text: str) -> tuple:
+        return tuple(convert(tok) for tok in text.split(",") if tok.strip() != "")
+
+    return convert_list
+
+
+def _choice(*allowed):
+    def convert(text: str):
+        if text not in allowed:
+            raise ValueError(f"must be one of {', '.join(allowed)}; got {text!r}")
+        return text
+
+    return convert
+
+
+@dataclass(frozen=True)
+class _Opt:
+    name: str
+    convert: object = str
+    default: object = None
+    required: bool = False
+    flag: bool = False
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+
+_ESTIMATE_OPTS = (
+    _Opt("functional", _choice("q20", "q02", "q11", "divergence", "renyi2"),
+         required=True, help="which functional to estimate"),
+    _Opt("epsilon", float, required=True, help="close-pair radius (> 0)"),
+    _Opt("variant", _choice("complete", "incomplete"), default="complete"),
+    _Opt("gap", int, help="index-separation gap for the incomplete variant "
+                          "(default: floor(log n))"),
+    _Opt("clamp", _to_bool, default=False, flag=True,
+         help="floor a negative divergence estimate at zero"),
+)
+
+_GENERATE_OPTS = (
+    _Opt("process", parse_process, required=True, help="process spec string"),
+    _Opt("n", int, required=True, help="number of observations"),
+    _Opt("seed", int, default=0),
+    _Opt("stream", int, default=0, help="stream id for independent replications"),
+    _Opt("out", str, required=True, help="output CSV path"),
+)
+
+_TRUTH_OPTS = (
+    _Opt("process-x", parse_process, required=True, help="process spec string"),
+    # an empty spec leaves the default, the first process
+    _Opt("process-y", lambda text: parse_process(text) if text else None,
+         help="second process spec (defaults to the first)"),
+    _Opt("method", _choice("auto", "closed-form", "quadrature"), default="auto"),
+)
+
+# A preset is a named set of flag values, given as the strings a flag would hold.
+_TAP = repr(1 / math.sqrt(3.0))
+_FIG1 = {
+    "process_x": f"gaussian-ma:taps={_TAP}|{_TAP}|{_TAP}",
+    "process_y": "gaussian-ma:taps=0.5|-0.5|0.5:shift=1",
+    "functional": "divergence",
+    "estimators": "complete,incomplete:log",
+    "c": "0.5,1,2",
+}
+_FIG2 = {"process_x": f"min-exp:rate={1 / 3!r}:window=3", "functional": "q20", "c": "0.5,1,2"}
+
+_PRESETS = {
+    "fig1": _FIG1,
+    "fig2-left": {**_FIG2, "estimators": "incomplete:log"},
+    "fig2-right": {**_FIG2, "estimators": "incomplete:sqrt"},
+    "smoke": {**_FIG1, "c": "1", "n_grid": "100,200,400", "reps": "2"},
+}
+
+_SIMULATE_OPTS = (
+    _Opt("preset", _choice(*_PRESETS), help="named reference experiment"),
+    _Opt("process-x", parse_process, help="process spec string"),
+    _Opt("process-y", parse_process, help="second process spec (two-sample functionals)"),
+    _Opt("functional", _choice(*_PIECES)),
+    _Opt("estimators", str, default="complete",
+         help="comma list of complete|incomplete[:log|:sqrt|:fixed=K]"),
+    _Opt("schedule", _choice(*REGIMES), default="thm1iii"),
+    _Opt("alpha", float, default=1.0, help="smoothness exponent of the schedule"),
+    _Opt("c", _list_of(float), default=(1.0,),
+         help="comma list of schedule constants; one output file per value"),
+    _Opt("d", int, default=1, help="dimension used by the schedule"),
+    _Opt("n-grid", _list_of(int), default=(100, 200, 400, 700, 1000)),
+    _Opt("reps", int, default=1000),
+    _Opt("seed", int, default=0),
+    _Opt("truth", float, help="override the oracle truth (reference value)"),
+    _Opt("label", str, help="process label for the CSV"),
+    _Opt("out", str, required=True, help="output CSV path"),
+    _Opt("plot-data", str, help="also write log-log plot data here"),
+    _Opt("threads", int, default=1, help="worker processes (capped by QFEST_THREADS)"),
+)
+
+_RATES_OPTS = (
+    _Opt("expected-slope", float, help="check the fitted slope against this value"),
+    _Opt("band", float, default=0.25, help="half-width of the slope acceptance band"),
+)
+
+
+def _add_options(parser: argparse.ArgumentParser, opts: tuple[_Opt, ...]) -> None:
+    parser.add_argument("--config", default=argparse.SUPPRESS,
+                        help="key=value file mirroring the flags")
+    for opt in opts:
+        if opt.flag:
+            parser.add_argument(f"--{opt.name}", dest=opt.dest, action="store_true",
+                                default=argparse.SUPPRESS, help=opt.help)
+        else:
+            parser.add_argument(f"--{opt.name}", dest=opt.dest, type=str,
+                                default=argparse.SUPPRESS, help=opt.help)
+
+
+def _read_config(path: str) -> dict[str, str]:
+    values: dict[str, str] = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise _InputError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise _InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
+    return values
+
+
+def _merge(ns: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
+    """Option values from four layers, each overriding the ones before it: the
+    defaults, the ``--preset``, the ``--config`` file and the explicit flags.
+
+    Every string is converted by its option's own converter as its layer is
+    read, so a bad value is reported even where a later layer overrides it.
+    """
+    by_dest = {opt.dest: opt for opt in opts}
+
+    def layer(values: dict, where: str) -> dict:
+        converted = {}
+        for key, raw in values.items():
+            if key not in by_dest:  # only a config file can name one
+                raise _InputError(f"unknown config key {key!r}")
+            try:
+                converted[key] = by_dest[key].convert(raw)
+            except ValueError as exc:
+                raise _InputError(f"{where.format(by_dest[key])}: {exc}") from exc
+        return converted
+
+    config = layer(_read_config(ns.config) if "config" in ns else {}, "config key {0.dest}")
+    flags = layer({k: v for k, v in vars(ns).items() if k in by_dest}, "--{0.name}")
+    preset = layer(_PRESETS.get(flags.get("preset", config.get("preset")), {}),
+                   "preset key {0.dest}")
+    merged = {**{opt.dest: opt.default for opt in opts}, **preset, **config, **flags}
+    for opt in opts:
+        if opt.required and merged[opt.dest] is None:
+            raise _InputError(f"missing required option --{opt.name}")
+    return merged
+
+
+# ---------------------------------------------------------------------------
 # Sample CSV I/O
 # ---------------------------------------------------------------------------
 
@@ -395,7 +408,7 @@ def _print_kv(key: str, value) -> None:
 
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:
-    merged, _ = _merge(ns, _ESTIMATE_OPTS)
+    merged = _merge(ns, _ESTIMATE_OPTS)
     paths = ns.inputs
     functional = merged["functional"]
     two_sample = "q11" in _PIECES.get(functional, ())
@@ -430,61 +443,24 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
-    merged, _ = _merge(ns, _GENERATE_OPTS)
-    process = parse_process(merged["process"])
+    merged = _merge(ns, _GENERATE_OPTS)
     stream = SeededStream(merged["seed"], merged["stream"])
-    sample = generate(process, merged["n"], stream)
+    sample = generate(merged["process"], merged["n"], stream)
     _write_sample(sample, merged["out"])
     _print_kv("wrote", merged["out"])
     _print_kv("n", merged["n"])
-    _print_kv("process", process.kind)
+    _print_kv("process", merged["process"].kind)
     return 0
 
 
 def _cmd_truth(ns: argparse.Namespace) -> int:
-    merged, _ = _merge(ns, _TRUTH_OPTS)
-    spec_x = parse_process(merged["process_x"])
-    spec_y = parse_process(merged["process_y"]) if merged["process_y"] else None
-    report = true_q(spec_x, spec_y, method=merged["method"])
+    merged = _merge(ns, _TRUTH_OPTS)
+    report = true_q(merged["process_x"], merged["process_y"], method=merged["method"])
     for key in ("q20", "q11", "q02", "divergence", "renyi2"):
         _print_kv(key, getattr(report, key))
     _print_kv("method", report.method)
     _print_kv("error_bound", report.error_bound)
     return 0
-
-
-_SQRT3 = math.sqrt(3.0)
-
-_PRESETS = {
-    "fig1": {
-        "process_x": GaussianMA(taps=(1 / _SQRT3, 1 / _SQRT3, 1 / _SQRT3)),
-        "process_y": GaussianMA(taps=(0.5, -0.5, 0.5), shift=1.0),
-        "functional": "divergence",
-        "estimators": "complete,incomplete:log",
-        "c": (0.5, 1.0, 2.0),
-    },
-    "fig2-left": {
-        "process_x": MinExp(rate=1.0 / 3.0, window=3),
-        "functional": "q20",
-        "estimators": "incomplete:log",
-        "c": (0.5, 1.0, 2.0),
-    },
-    "fig2-right": {
-        "process_x": MinExp(rate=1.0 / 3.0, window=3),
-        "functional": "q20",
-        "estimators": "incomplete:sqrt",
-        "c": (0.5, 1.0, 2.0),
-    },
-    "smoke": {
-        "process_x": GaussianMA(taps=(1 / _SQRT3, 1 / _SQRT3, 1 / _SQRT3)),
-        "process_y": GaussianMA(taps=(0.5, -0.5, 0.5), shift=1.0),
-        "functional": "divergence",
-        "estimators": "complete,incomplete:log",
-        "c": (1.0,),
-        "n_grid": (100, 200, 400),
-        "reps": 2,
-    },
-}
 
 
 def _effective_workers(requested: int) -> int:
@@ -498,32 +474,33 @@ def _effective_workers(requested: int) -> int:
     return max(1, min(requested, cap_value))
 
 
+def _c_path(path: str, c: float, c_count: int) -> Path:
+    """Where the output for schedule constant ``c`` goes, of ``c_count`` constants."""
+    path = Path(path)
+    return path if c_count == 1 else path.with_name(f"{path.stem}-c{c:g}{path.suffix}")
+
+
 def _cmd_simulate(ns: argparse.Namespace) -> int:
-    merged, provided = _merge(ns, _SIMULATE_OPTS)
-    if merged["preset"] is not None:
-        for key, value in _PRESETS[merged["preset"]].items():
-            if key not in provided:
-                merged[key] = value
+    merged = _merge(ns, _SIMULATE_OPTS)
     for key in ("process_x", "functional"):
         if merged[key] is None:
             raise _InputError(f"missing --{key.replace('_', '-')} (or a --preset)")
-    process_x = merged["process_x"]
-    if isinstance(process_x, str):
-        process_x = parse_process(process_x)
-    process_y = merged["process_y"]
-    if isinstance(process_y, str):
-        process_y = parse_process(process_y)
     estimators = _parse_estimator_tokens(merged["estimators"], merged["functional"])
-    out = Path(merged["out"])
     workers = _effective_workers(merged["threads"])
     c_values = merged["c"]
+    if not c_values:
+        raise _InputError("--c lists no schedule constant")
+    plans = {}  # every plan is built, and its output named, before any runs
     for c in c_values:
+        target = _c_path(merged["out"], c, len(c_values))
+        if target in plans:
+            raise _InputError(f"--c: two values would both write {target}")
         schedule = EpsilonSchedule(
             regime=merged["schedule"], d=merged["d"], alpha=merged["alpha"], c=c,
         )
-        plan = ExperimentPlan(
-            process_x=process_x,
-            process_y=process_y,
+        plans[target] = ExperimentPlan(
+            process_x=merged["process_x"],
+            process_y=merged["process_y"],
             estimators=estimators,
             schedule=schedule,
             ns=merged["n_grid"],
@@ -532,35 +509,27 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
             truth_override=merged["truth"],
             label=merged["label"],
         )
+    for target, plan in plans.items():
         result = run(plan, workers=workers)
-        target = out if len(c_values) == 1 else out.with_name(
-            f"{out.stem}-c{c:g}{out.suffix}"
-        )
         write_csv(result, target)
         _print_kv("wrote", target)
         if merged["plot_data"]:
-            plot_base = Path(merged["plot_data"])
-            if len(c_values) > 1:
-                plot_base = plot_base.with_name(f"{plot_base.stem}-c{c:g}{plot_base.suffix}")
+            plot_base = _c_path(merged["plot_data"], plan.schedule.c, len(c_values))
             for written in write_plot_data(result, plot_base):
                 _print_kv("wrote", written)
     return 0
 
 
 def _cmd_rates(ns: argparse.Namespace) -> int:
-    merged, _ = _merge(ns, _RATES_OPTS)
+    merged = _merge(ns, _RATES_OPTS)
     try:
         rows = read_csv_rows(ns.csv)
     except (OSError, ValueError) as exc:
         raise _InputError(f"cannot read {ns.csv}: {exc}") from exc
     if not rows:
         raise _InputError(f"{ns.csv}: no data rows")
-    labels: list[str] = []
-    for row in rows:
-        if row["estimator"] not in labels:
-            labels.append(row["estimator"])
     expected = merged["expected_slope"]
-    for label in labels:
+    for label in dict.fromkeys(row["estimator"] for row in rows):
         sub = [r for r in rows if r["estimator"] == label]
         try:
             fit = fit_loglog([r["n"] for r in sub], [r["mse"] for r in sub], label)
@@ -593,29 +562,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate a functional from CSV samples")
     p_est.add_argument("inputs", nargs="+", help="sample CSV path(s)")
     _add_options(p_est, _ESTIMATE_OPTS)
+    p_est.set_defaults(handler=_cmd_estimate)
 
     p_gen = sub.add_parser("generate", help="generate a process sample as CSV")
     _add_options(p_gen, _GENERATE_OPTS)
+    p_gen.set_defaults(handler=_cmd_generate)
 
     p_truth = sub.add_parser("truth", help="print oracle functional values")
     _add_options(p_truth, _TRUTH_OPTS)
+    p_truth.set_defaults(handler=_cmd_truth)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment plan")
     _add_options(p_sim, _SIMULATE_OPTS)
+    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_rates = sub.add_parser("rates", help="fit log-log slopes from a summary CSV")
     p_rates.add_argument("csv", help="summary CSV produced by simulate")
     _add_options(p_rates, _RATES_OPTS)
+    p_rates.set_defaults(handler=_cmd_rates)
     return parser
-
-
-_HANDLERS = {
-    "estimate": _cmd_estimate,
-    "generate": _cmd_generate,
-    "truth": _cmd_truth,
-    "simulate": _cmd_simulate,
-    "rates": _cmd_rates,
-}
 
 
 def main(argv=None) -> int:
@@ -625,8 +590,9 @@ def main(argv=None) -> int:
             ns = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else 0
-        return _HANDLERS[ns.command](ns)
-    except (_InputError, ValueError) as exc:
+        return ns.handler(ns)
+    # an unwritable output path is an input error; its message names the path
+    except (_InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EstimationError as exc:

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
 from . import estimators as est
 from . import oracle
 from .bandwidth import EpsilonSchedule
@@ -71,7 +72,7 @@ class GapRule:
 
     @classmethod
     def fixed(cls, value: int) -> "GapRule":
-        return cls("fixed", int(value))
+        return cls("fixed", value)
 
     @classmethod
     def log(cls) -> "GapRule":
@@ -84,8 +85,10 @@ class GapRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "log", "sqrt"):
             raise ValueError(f"gap rule must be fixed|log|sqrt, got {self.kind!r}")
-        if self.kind == "fixed" and self.value < 0:
-            raise ValueError(f"fixed gap must be nonnegative, got {self.value}")
+        if self.kind == "fixed":
+            object.__setattr__(self, "value", core._check_integer_gap(self.value))
+            if self.value < 0:
+                raise ValueError(f"fixed gap must be nonnegative, got {self.value}")
 
     def at(self, n: int) -> int:
         if self.kind == "log":

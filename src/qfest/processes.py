@@ -282,6 +282,7 @@ class MinExp:
             raise ValueError(f"rate must be finite and > 0, got {self.rate!r}")
         if int(self.window) != self.window or self.window < 1:
             raise ValueError(f"window must be a positive integer, got {self.window!r}")
+        object.__setattr__(self, "window", int(self.window))
 
     @property
     def m(self) -> int:

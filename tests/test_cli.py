@@ -1,11 +1,23 @@
 """CLI tests: subcommands, exit codes, config files, round trips."""
 
+import math
+
 import numpy as np
 import pytest
 
+from qfest import cli
+from qfest.bandwidth import EpsilonSchedule
 from qfest.cli import main, parse_process
 from qfest.estimators import estimate_q20, estimate_q20_incomplete
-from qfest.montecarlo import CSV_HEADER
+from qfest.montecarlo import (
+    CSV_HEADER,
+    EstimatorSpec,
+    ExperimentPlan,
+    GapRule,
+    csv_text,
+    read_csv_rows,
+    run,
+)
 from qfest.processes import GaussianMA, MinExp, SeededStream, generate
 
 
@@ -421,3 +433,89 @@ class TestSimulateAbort:
         err = capsys.readouterr().err
         assert "replications failed" in err
         assert "(grid 0, replication 0)" in err
+
+
+class TestPresets:
+    """A preset is a named set of flag values, layered under --config and the flags."""
+
+    @pytest.mark.parametrize("preset, process_x, process_y, estimators", [
+        ("fig1", GaussianMA(taps=(1 / math.sqrt(3.0),) * 3),
+         GaussianMA((0.5, -0.5, 0.5), shift=1.0),
+         (EstimatorSpec("divergence"),
+          EstimatorSpec("divergence", "incomplete", GapRule.log()))),
+        ("fig2-left", MinExp(1 / 3, 3), None, (EstimatorSpec("q20", "incomplete", GapRule.log()),)),
+        ("fig2-right", MinExp(1 / 3, 3), None,
+         (EstimatorSpec("q20", "incomplete", GapRule.sqrt()),)),
+    ])
+    def test_figure_preset_runs_its_library_plan(self, tmp_path, capsys, preset, process_x,
+                                                 process_y, estimators):
+        out = tmp_path / "fig.csv"
+        argv = ["simulate", "--preset", preset, "--n-grid", "20,40", "--reps", "3",
+                "--out", str(out)]
+        assert main(argv) == 0
+        for c in (0.5, 1.0, 2.0):
+            plan = ExperimentPlan(
+                process_x=process_x, process_y=process_y, estimators=estimators,
+                schedule=EpsilonSchedule("thm1iii", d=1, alpha=1.0, c=c), ns=(20, 40), reps=3,
+            )
+            assert (tmp_path / f"fig-c{c:g}.csv").read_text() == csv_text(run(plan))
+
+    def test_each_layer_overrides_the_one_before(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("preset=smoke\nreps=3\nseed=4\n")
+        out = tmp_path / "layers.csv"
+        assert main(["simulate", "--config", str(config), "--seed", "5", "--out", str(out)]) == 0
+        rows = read_csv_rows(out)
+        assert sorted({r["n"] for r in rows}) == [100, 200, 400]  # preset over default
+        assert {r["reps"] for r in rows} == {3}  # config over preset
+        assert {r["seed"] for r in rows} == {5}  # flag over config
+
+    def test_bad_preset_names_its_layer(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert main(["simulate", "--preset", "fig3", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: --preset: must be one of")
+        config = tmp_path / "run.conf"
+        config.write_text("preset=fig3\n")
+        assert main(["simulate", "--config", str(config), "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: config key preset: must be one of")
+
+
+class TestScheduleConstants:
+    """A --c list must name one output file per value, checked before any plan runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_run(self, monkeypatch):
+        def refuse(plan, workers=1):
+            raise AssertionError("a plan ran")
+
+        monkeypatch.setattr(cli, "run", refuse)
+
+    @pytest.mark.parametrize("c", ["", ",", " , "])
+    def test_empty_list_is_input_error(self, tmp_path, capsys, c):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--preset", "smoke", "--c", c, "--out", str(out)]) == 2
+        assert "--c lists no schedule constant" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("c, name", [("1,1.0", "x-c1.csv"), ("1,1.0000001", "x-c1.csv"),
+                                         ("0.5,2,0.5", "x-c0.5.csv")])
+    def test_values_sharing_a_file_name_are_input_error(self, tmp_path, capsys, c, name):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--preset", "smoke", "--c", c, "--out", str(out)]) == 2
+        assert f"two values would both write {tmp_path / name}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUnwritableOutput:
+    def test_generate(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        argv = ["generate", "--process", "min-exp", "--n", "5", "--out", str(target)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
+    def test_simulate(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["simulate", "--preset", "smoke", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err

@@ -106,6 +106,13 @@ class TestPlanValidation:
                 ),
             )
 
+    @pytest.mark.parametrize("make", [GapRule.fixed, lambda gap: GapRule("fixed", gap)],
+                             ids=["fixed", "constructor"])
+    def test_fractional_fixed_gap_rejected(self, make):
+        with pytest.raises(ValueError, match="gap must be an integer, got 2.5"):
+            make(2.5)
+        assert make(3.0) == GapRule.fixed(3) and make(3.0).label == "fixed3"
+
     def test_schedule_dimension_must_match_the_process(self):
         # every built-in process is scalar; a d = 3 schedule would use the
         # d = 3 radius rule on 1-D draws

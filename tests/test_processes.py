@@ -70,6 +70,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             MinExp(rate=1.0, window=0)
 
+    def test_min_exp_stores_an_integral_window(self):
+        spec = MinExp(window=2.0)
+        assert type(spec.window) is int
+        np.testing.assert_array_equal(generate(spec, 50, SeededStream(1)),
+                                      generate(MinExp(window=2), 50, SeededStream(1)))
+
     def test_generate_rejects_bad_length(self):
         with pytest.raises(ValueError):
             generate(ProductGauss(), 0, SeededStream(1))
