@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import _check_integer
+
 REGIMES = ("thm1ii", "thm1iii", "thm2ii", "thm2iii")
 
 # MSE decay exponent each regime targets, as a function of (alpha, d).
@@ -41,7 +43,8 @@ class EpsilonSchedule:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if int(self.d) != self.d or self.d < 1:
+        object.__setattr__(self, "d", _check_integer(self.d, "dimension"))
+        if self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d!r}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
@@ -59,7 +62,7 @@ class EpsilonSchedule:
 
     def epsilon_at(self, n: int) -> float:
         """Radius for sample size n; requires n >= 2 (log n must be positive)."""
-        if int(n) != n or n < 2:
+        if _check_integer(n, "sample size") < 2:
             raise ValueError(f"sample size must be an integer >= 2, got {n!r}")
         n = float(n)
         if self.regime == "thm1ii":

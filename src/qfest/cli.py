@@ -490,15 +490,19 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     c_values = merged["c"]
     if not c_values:
         raise _InputError("--c lists no schedule constant")
-    plans = {}  # every plan is built, and its output named, before any runs
+    plans = {}  # every plan is built, and its outputs named and checked, before any runs
     for c in c_values:
         target = _c_path(merged["out"], c, len(c_values))
         if target in plans:
             raise _InputError(f"--c: two values would both write {target}")
+        plot_base = merged["plot_data"] and _c_path(merged["plot_data"], c, len(c_values))
+        for path in filter(None, (target, plot_base)):
+            if path.is_dir() or not path.parent.is_dir():
+                raise _InputError(f"cannot write {path}: it is a directory or its parent is not")
         schedule = EpsilonSchedule(
             regime=merged["schedule"], d=merged["d"], alpha=merged["alpha"], c=c,
         )
-        plans[target] = ExperimentPlan(
+        plans[target] = plot_base, ExperimentPlan(
             process_x=merged["process_x"],
             process_y=merged["process_y"],
             estimators=estimators,
@@ -509,12 +513,11 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
             truth_override=merged["truth"],
             label=merged["label"],
         )
-    for target, plan in plans.items():
+    for target, (plot_base, plan) in plans.items():
         result = run(plan, workers=workers)
         write_csv(result, target)
         _print_kv("wrote", target)
-        if merged["plot_data"]:
-            plot_base = _c_path(merged["plot_data"], plan.schedule.c, len(c_values))
+        if plot_base:
             for written in write_plot_data(result, plot_base):
                 _print_kv("wrote", written)
     return 0

@@ -29,14 +29,15 @@ dense comparison of the stack shifted along time.
 Each window end starts from a guess, placed by one stable merge of the
 sorted guesses q + eps with their sorted row; the exact predicate then moves
 the guesses that missed.  One block size, ``_STACK_BLOCK``, bounds every
-temporary.  Short rows are counted a block of whole rows at a time, each
-block's guesses merged with one argsort; a longer row is counted one tile of
-that many sorted queries or time indices (for the near lags) at a time, each
-tile's guesses merged with the span of the row they cover a piece of that
-many values at a time; a d >= 2 pass takes its queries a tile at a time; and
-d >= 2 candidate pairs are checked that many at a time.  A record so needs
-the sorted copies of its samples (at d >= 2 with their keys and window ends)
-and O(block) more memory per pass.  Every pass runs in the calling thread.
+temporary.  Rows are counted a block of whole rows of about that many values
+at a time (one row when a row is longer), each block sorted or gridded once;
+one loop then walks the rows a tile of that many positions at a time, and
+each pass counts just its tile: window ends of sorted queries, their guesses
+merged with the span of the row they cover a piece of that many values at a
+time; strip candidates, checked that many pairs at a time; or near lags.  A
+record so needs the sorted copies of its samples (at d >= 2 with their keys
+and window ends) and O(block) more memory per pass.  Every pass runs in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Every temporary of the counting kernel is bounded by about this many values:
-# stacks are counted in blocks of whole rows of about this size, long rows in
-# tiles of this many queries or time indices, and d >= 2 candidate pairs in
-# chunks of this many pairs.
+# stacks are counted in blocks of whole rows of about this size, each pass
+# counts one tile of this many positions of a row, and d >= 2 candidate pairs
+# are checked in chunks of this many pairs.
 _STACK_BLOCK = 2**14
 
 
@@ -82,18 +83,18 @@ def _check_radius(epsilon) -> float:
     return eps
 
 
-def _check_integer_gap(gap) -> int:
-    """``gap`` as an int; a fractional, infinite or NaN gap is rejected."""
+def _check_integer(value, name: str) -> int:
+    """``value`` as an int; a fractional, infinite or NaN value of the argument ``name`` is rejected."""
     try:
-        if int(gap) == gap:
-            return int(gap)
+        if int(value) == value:
+            return int(value)
     except (OverflowError, ValueError):
         pass
-    raise ValueError(f"gap must be an integer, got {gap!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_gap(gap, n: int) -> int:
-    g = _check_integer_gap(gap)
+    g = _check_integer(gap, "gap")
     if g < 0:
         raise ValueError(f"gap must be a nonnegative integer, got {gap!r}")
     if g >= n:
@@ -131,7 +132,7 @@ class BallVolume:
 
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in dimension d: pi^(d/2) / Gamma(d/2 + 1)."""
-    if int(d) != d or d < 1:
+    if _check_integer(d, "dimension") < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
@@ -356,18 +357,6 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     return flat.reshape(q.shape) - first
 
 
-def _end_sums(xs: np.ndarray, qs: np.ndarray, eps: float, eps2: float) -> np.ndarray:
-    """Each row's sum of the window ends of the sorted queries ``qs`` in the sorted rows ``xs``.
-
-    The stacks are (R, n); the sums have shape (R,).  The queries are windowed
-    a tile of ``_STACK_BLOCK`` at a time, so the pass allocates only tiles.
-    """
-    total = np.zeros(len(qs), dtype=np.int64)
-    for s in range(0, qs.shape[1], _STACK_BLOCK):
-        total += _window_ends(xs, qs[:, s : s + _STACK_BLOCK], eps, eps2).sum(axis=1)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # The counting kernel at d >= 2: a strip grid of exact 1-D cells
 # ---------------------------------------------------------------------------
@@ -483,41 +472,39 @@ def _strip_offsets(strides: list[int]) -> list[int]:
     return [sum(o * s for o, s in zip(step, strides)) for step in steps]
 
 
-def _count_strips(a: list, b: list | None, frames: list, eps2: float) -> np.ndarray:
-    """Close pairs in the windows of neighbouring strips of each row's grid; ``b=None`` counts within ``a``.
+def _count_strips(a: list, b: list | None, frames: list, eps2: float, tile: slice) -> np.ndarray:
+    """Close pairs of the queries ``tile`` of each row of ``a`` in the windows of neighbouring strips.
 
     ``a`` and ``b`` hold, per row, the sorted keys and columns of
-    ``_sorted_strips``; the counts have shape (R,).  A query of key q and
-    last rank u = q mod U has the candidates [q - u + o + start_u,
-    q - u + o + end_u) in the strip at offset o, for each of the 3**(k-1)
-    strips of the k - 1 coordinates keyed by cells.  A within-count is ``a``
-    against itself with each pair found from one side only: its candidates in
-    the query's own strip start at the query's position + 1, and only the
-    lexicographically positive strips, which lie wholly after it, are walked.
-    The queries are taken a tile of ``_STACK_BLOCK`` at a time, so the probe
-    keys and candidate ranges of a pass are O(block).
+    ``_sorted_strips``; ``b=None`` counts within ``a``, and the counts have
+    shape (R,).  A query of key q and last rank u = q mod U has the
+    candidates [q - u + o + start_u, q - u + o + end_u) in the strip at
+    offset o, for each of the 3**(k-1) strips of the k - 1 coordinates keyed
+    by cells.  A within-count is ``a`` against itself with each pair found
+    from one side only: its candidates in the query's own strip start at the
+    query's position + 1, and only the lexicographically positive strips,
+    which lie wholly after it, are walked.  Only the tile's queries probe, so
+    a pass's temporaries are O(tile).
     """
     counts = []
     for r, ((ka, acols), (strides, end)) in enumerate(zip(a, frames)):
         offsets = _strip_offsets(strides)
         offsets = offsets[len(offsets) // 2 :] if b is None else offsets
         kb, bcols = (ka, acols) if b is None else b[r]
+        keys, cols = ka[tile], acols[:, tile]
+        u = keys % end.size
+        lo_keys, hi_keys = _window_starts(end, u), end.take(u)
+        u -= keys  # the query's strip, negated; then each offset's probe keys
+        lo_keys -= u
+        hi_keys -= u
         count = 0
-        for s in range(0, ka.size, _STACK_BLOCK):
-            tile = ka[s : s + _STACK_BLOCK]
-            u = tile % end.size
-            lo_keys, hi_keys = _window_starts(end, u), end.take(u)
-            u -= tile  # the query's strip, negated; then each offset's probe keys
-            lo_keys -= u
-            hi_keys -= u
-            cols = acols[:, s : s + _STACK_BLOCK]
-            for off in offsets:
-                hi = kb.searchsorted(np.add(hi_keys, off, out=u))
-                if b is None and off == 0:
-                    lo = np.arange(s + 1, s + tile.size + 1)
-                else:
-                    lo = kb.searchsorted(np.add(lo_keys, off, out=u))
-                count += _close_in_ranges(cols, bcols, lo, hi, eps2)
+        for off in offsets:
+            hi = kb.searchsorted(np.add(hi_keys, off, out=u))
+            if b is None and off == 0:
+                lo = np.arange(tile.start + 1, tile.start + keys.size + 1)
+            else:
+                lo = kb.searchsorted(np.add(lo_keys, off, out=u))
+            count += _close_in_ranges(cols, bcols, lo, hi, eps2)
         counts.append(count)
     return np.array(counts, dtype=np.int64)
 
@@ -544,27 +531,24 @@ def _shifted_close_count(a: np.ndarray, b: np.ndarray, eps2: float) -> np.ndarra
     return np.count_nonzero(close, axis=1)
 
 
-def _near_lags(a: np.ndarray, b: np.ndarray | None, eps2: float, max_gap: int) -> np.ndarray:
+def _near_lags(
+    a: np.ndarray, b: np.ndarray | None, eps2: float, max_gap: int, tile: slice
+) -> np.ndarray:
     """Close pairs at index lag exactly h in each row, shape (R, max_gap + 1).
 
-    The lags are compared a tile of ``_STACK_BLOCK`` time indices i at a time,
-    as the pairs (i - h, i) with i in the tile.
+    Only the pairs (i - h, i) with the time index i in ``tile`` are compared.
     """
-    n = a.shape[1]
+    s, e, _ = tile.indices(a.shape[1])
     near = np.zeros((max_gap + 1, len(a)), dtype=np.int64)
-    lags = near.copy()  # one tile's counts, lag by lag
-    for s in range(0, n, _STACK_BLOCK):
-        e = min(s + _STACK_BLOCK, n)
-        if b is not None:
-            lags[0] = _shifted_close_count(a[:, s:e], b[:, s:e], eps2)
-        for h in range(1, min(max_gap + 1, e)):
-            i = max(s, h)
-            if b is None:
-                lags[h] = _shifted_close_count(a[:, i:e], a[:, i - h : e - h], eps2)
-            else:
-                pairs = _shifted_close_count(a[:, i - h : e - h], b[:, i:e], eps2)
-                lags[h] = pairs + _shifted_close_count(a[:, i:e], b[:, i - h : e - h], eps2)
-        near += lags
+    if b is not None:
+        near[0] = _shifted_close_count(a[:, s:e], b[:, s:e], eps2)
+    for h in range(1, min(max_gap + 1, e)):
+        i = max(s, h)
+        if b is None:
+            near[h] = _shifted_close_count(a[:, i:e], a[:, i - h : e - h], eps2)
+        else:
+            pairs = _shifted_close_count(a[:, i - h : e - h], b[:, i:e], eps2)
+            near[h] = pairs + _shifted_close_count(a[:, i:e], b[:, i - h : e - h], eps2)
     return near.T
 
 
@@ -580,14 +564,15 @@ def _record_counts(pieces, eps: float, max_gap=None) -> list:
     lag h is j - i = h within ``a`` (lag 0 holds none), |j - i| = h between.
 
     The stacks are counted in blocks of whole rows of about ``_STACK_BLOCK``
-    values, or one row at a time when a row is longer.  A block's passes are
-    one strip-grid pass per piece at d >= 2; at d = 1, one pass of window
-    ends per within-piece and two per cross piece; and one near-lag pass per
-    piece when ``max_gap`` is given.  Each sample is sorted once per block
-    and shared by every piece that uses it: at d = 1 its sorted rows, at
-    d >= 2 its points in the order of their strip keys, on cells built once
-    per row for all the samples.  Every pass runs in the calling thread and
-    allocates only tile-sized temporaries.
+    values, or one row at a time when a row is longer.  Each sample is sorted
+    once per block and shared by every piece that uses it: at d = 1 its
+    sorted rows, at d >= 2 its points in the order of their strip keys, on
+    cells built once per row for all the samples.  This is the one loop over
+    tiles of ``_STACK_BLOCK`` positions of the rows, and each pass counts just
+    its tile: one strip-grid pass per piece at d >= 2; at d = 1, one pass of
+    window ends per within-piece and two per cross piece; and one near-lag
+    pass per piece when ``max_gap`` is given.  Every pass runs in the calling
+    thread and allocates only tile-sized temporaries.
     """
     eps2 = eps * eps
     rows, n, d = pieces[0][0].shape
@@ -612,18 +597,20 @@ def _record_counts(pieces, eps: float, max_gap=None) -> list:
                 ordered = {key: np.sort(rows[..., 0], axis=1) for key, rows in samples.items()}
             else:
                 ordered, frames = _sorted_strips(eps, samples)
-            for (full, near), (a, b) in zip(counts, pieces):
-                xs, ys = ordered[id(a)], None if b is None else ordered[id(b)]
-                if d > 1:
-                    full[block] += _count_strips(xs, ys, frames, eps2)
-                elif b is None:
-                    full[block] += _end_sums(xs, xs, eps, eps2)
-                else:
-                    full[block] += _end_sums(ys, xs, eps, eps2)
-                    full[block] += _end_sums(xs, ys, eps, eps2)
-                if near is not None:
-                    y = None if b is None else samples[id(b)]
-                    near[block] += _near_lags(samples[id(a)], y, eps2, max_gap)
+            for s in range(0, n, _STACK_BLOCK):
+                tile = slice(s, s + _STACK_BLOCK)
+                for (full, near), (a, b) in zip(counts, pieces):
+                    xs, ys = ordered[id(a)], None if b is None else ordered[id(b)]
+                    if d > 1:
+                        full[block] += _count_strips(xs, ys, frames, eps2, tile)
+                    elif b is None:
+                        full[block] += _window_ends(xs, xs[:, tile], eps, eps2).sum(axis=1)
+                    else:
+                        full[block] += _window_ends(ys, xs[:, tile], eps, eps2).sum(axis=1)
+                        full[block] += _window_ends(xs, ys[:, tile], eps, eps2).sum(axis=1)
+                    if near is not None:
+                        y = None if b is None else samples[id(b)]
+                        near[block] += _near_lags(samples[id(a)], y, eps2, max_gap, tile)
     if d == 1:
         # A within-count's window of sorted query i starts at i + 1, so its
         # count is the sum of its ends less n(n + 1)/2.  A cross count's

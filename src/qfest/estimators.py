@@ -177,7 +177,7 @@ def _validated(functional, x, y, epsilon, variant="complete", gap=None):
     n, d = xp.shape
     if n < 2 and (functional != "q11" or variant == "incomplete"):
         raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    g = None if gap is None else core._check_integer_gap(gap)
+    g = None if gap is None else core._check_integer(gap, "gap")
     if variant == "incomplete":
         g = log_gap(n) if g is None else g
         if g >= n - 1:

@@ -86,7 +86,7 @@ class GapRule:
         if self.kind not in ("fixed", "log", "sqrt"):
             raise ValueError(f"gap rule must be fixed|log|sqrt, got {self.kind!r}")
         if self.kind == "fixed":
-            object.__setattr__(self, "value", core._check_integer_gap(self.value))
+            object.__setattr__(self, "value", core._check_integer(self.value, "gap"))
             if self.value < 0:
                 raise ValueError(f"fixed gap must be nonnegative, got {self.value}")
 
@@ -147,7 +147,9 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+        object.__setattr__(self, "ns", tuple(core._check_integer(n, "grid n") for n in self.ns))
+        object.__setattr__(self, "reps", core._check_integer(self.reps, "reps"))
+        object.__setattr__(self, "seed", core._check_integer(self.seed, "seed"))
         if not self.estimators:
             raise ValueError("plan needs at least one estimator spec")
         functionals = {e.functional for e in self.estimators}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_radius, _pair_points, as_points, ball_volume
+from .core import _check_integer, _check_radius, _pair_points, as_points, ball_volume
 from .estimators import (
     AsymptoticVariance,
     EstimateConfig,
@@ -251,7 +251,7 @@ def sigma2_oracle(
     """
     if stream is None:
         stream = SeededStream(0)
-    reps = int(reps)
+    reps = _check_integer(reps, "reps")
     if reps < 4 * batches:
         raise ValueError(f"reps={reps} too small for {batches} batches")
 

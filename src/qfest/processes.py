@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _check_integer
+
 _MASK64 = (1 << 64) - 1
 # A transform's scratch buffers hold about this many values (one row at least).
 _FILL_BLOCK = 2**14
@@ -280,9 +282,9 @@ class MinExp:
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ValueError(f"rate must be finite and > 0, got {self.rate!r}")
-        if int(self.window) != self.window or self.window < 1:
+        object.__setattr__(self, "window", _check_integer(self.window, "window"))
+        if self.window < 1:
             raise ValueError(f"window must be a positive integer, got {self.window!r}")
-        object.__setattr__(self, "window", int(self.window))
 
     @property
     def m(self) -> int:
@@ -423,7 +425,7 @@ def _generate_stack(spec, n: int, seed: int, ids) -> np.ndarray:
     (seed, ids[r]) with counter 0 and an empty buffer, which is the state of
     a fresh ``SeededStream(seed, ids[r]).generator()``.
     """
-    if int(n) != n or n < 1:
+    if _check_integer(n, "sample length") < 1:
         raise ValueError(f"sample length must be a positive integer, got {n!r}")
     ids = np.asarray(ids, dtype=np.uint64)
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))

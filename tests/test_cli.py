@@ -519,3 +519,32 @@ class TestUnwritableOutput:
         assert main(["simulate", "--preset", "smoke", "--out", str(target)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(target) in err
+
+    @pytest.mark.parametrize(
+        "out,plot,bad",
+        [
+            ("missing/x.csv", None, "missing/x-c1.csv"),
+            ("x.csv", None, "x-c2.csv"),
+            ("y.csv", "file/p.csv", "file/p-c1.csv"),
+            ("y.csv", "p.csv", "p-c2.csv"),
+        ],
+        ids=["missing-parent", "csv-is-a-directory", "parent-is-a-file", "plot-is-a-directory"],
+    )
+    def test_simulate_checks_every_output_before_any_run(
+        self, tmp_path, capsys, monkeypatch, out, plot, bad
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plan ran before every output was checked")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        (tmp_path / "file").write_text("")
+        for name in ("x-c2.csv", "p-c2.csv"):
+            (tmp_path / name).mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["simulate", "--preset", "smoke", "--c", "1,2", "--out", str(tmp_path / out)]
+        if plot is not None:
+            argv += ["--plot-data", str(tmp_path / plot)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / bad) in err
+        assert sorted(tmp_path.rglob("*")) == before

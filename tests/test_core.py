@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfest import core, oracle
+from qfest.bandwidth import EpsilonSchedule
 from qfest.core import (
     BallVolume,
     as_points,
@@ -26,6 +27,7 @@ from qfest.core import (
     unit_ball_volume,
 )
 from qfest.estimators import _count_stack, estimate_q20_incomplete
+from qfest.processes import MinExp, SeededStream, generate
 
 
 class TestBallVolume:
@@ -108,6 +110,30 @@ class TestValidation:
             count_close_within_gap(x, 0.5, gap)
         with pytest.raises(ValueError, match="gap must be an integer"):
             count_close_between_gap(x, x, 0.5, gap)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5])
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("dimension", unit_ball_volume),
+            ("window", lambda v: MinExp(window=v)),
+            ("dimension", lambda v: EpsilonSchedule("thm1iii", d=v)),
+            ("sample size", EpsilonSchedule("thm1iii", d=1).epsilon_at),
+            ("sample length", lambda v: generate(MinExp(), v, SeededStream(0))),
+            ("reps", lambda v: oracle.sigma2_oracle(MinExp(), reps=v)),
+        ],
+        ids=["unit_ball_volume", "MinExp", "EpsilonSchedule", "epsilon_at", "generate",
+             "sigma2_oracle"],
+    )
+    def test_integer_arguments_share_one_rule(self, name, call, value):
+        # an infinite value once escaped as OverflowError, a NaN with int()'s
+        # own message, and a fraction was truncated or named as out of range
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            call(value)
+
+    def test_integral_dimension_is_stored_as_int(self):
+        d = EpsilonSchedule("thm1iii", d=2.0).d
+        assert d == 2 and type(d) is int
 
 
 class TestCountExamples:
@@ -706,9 +732,13 @@ class TestMemoryBounds:
     def test_traced_peak_of_a_skewed_pass(self):
         # the tile of x about 0 spans all eight blocks of y: merged whole, its
         # guesses took about 19 blocks of floats, and cut at every block about 6
-        x, y = _skewed_pair(8 * core._STACK_BLOCK)
-        peak = _traced_peak(core._end_sums, y[None], x[None], 1e-6, 1e-12)
-        assert peak <= 8 * x[: core._STACK_BLOCK].nbytes
+        block = core._STACK_BLOCK
+        x, y = _skewed_pair(8 * block)
+        peak = max(
+            _traced_peak(core._window_ends, y[None], x[None, s : s + block], 1e-6, 1e-12)
+            for s in range(0, x.size, block)
+        )
+        assert peak <= 8 * x[:block].nbytes
 
     @pytest.mark.parametrize("gap", [None, 13], ids=["complete", "gap-13"])
     def test_traced_peak_of_a_d2_divergence_record(self, gap):
@@ -720,13 +750,19 @@ class TestMemoryBounds:
         assert peak <= 5 * (x.nbytes + y.nbytes)
 
     def test_traced_peak_of_a_d2_strip_pass(self):
-        # a pass takes its queries a tile at a time, so its probe keys, window
-        # starts and candidate ranges are O(block), not O(n)
+        # a pass counts one tile of queries, so its probe keys, window starts
+        # and candidate ranges are O(block), not O(n)
         n = 100_000
         x, y = np.random.default_rng([2066, 2]).normal(size=(2, 1, n, 2))
         eps = math.log(n) / math.sqrt(n)
         grids, frames = core._sorted_strips(eps, {"x": x, "y": y})
-        peak = _traced_peak(core._count_strips, grids["x"], grids["y"], frames, eps * eps)
+        peak = max(
+            _traced_peak(
+                core._count_strips, grids["x"], grids["y"], frames, eps * eps,
+                slice(s, s + core._STACK_BLOCK),
+            )
+            for s in range(0, n, core._STACK_BLOCK)
+        )
         assert peak <= 16 * x[0, : core._STACK_BLOCK, 0].nbytes
 
 

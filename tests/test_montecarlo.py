@@ -87,6 +87,22 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             _iid_q20_plan(reps=1)
 
+    @pytest.mark.parametrize(
+        "field,value,name",
+        [("ns", (20.7, 40), "grid n"), ("seed", 1.5, "seed"), ("reps", 4.5, "reps"),
+         ("reps", math.inf, "reps"), ("seed", math.nan, "seed")],
+    )
+    def test_rejects_a_fractional_count(self, field, value, name):
+        # a fractional n or seed once ran truncated, and the CSV named the
+        # seed it was given, not the one drawn with
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            _iid_q20_plan(**{field: value})
+
+    def test_integral_counts_are_stored_as_ints(self):
+        plan = _iid_q20_plan(ns=(50.0, 100.0, 200.0), reps=4.0, seed=7.0)
+        assert (plan.ns, plan.reps, plan.seed) == ((50, 100, 200), 4, 7)
+        assert all(type(v) is int for v in (*plan.ns, plan.reps, plan.seed))
+
     def test_rejects_mixed_functionals(self):
         with pytest.raises(ValueError):
             _iid_q20_plan(
