@@ -27,17 +27,18 @@ count is the full count minus the near-lag counts up to the gap, each lag a
 dense comparison of the stack shifted along time.
 
 Each window end starts from a guess, placed by one stable merge of the
-sorted guesses q + eps with their sorted row; the exact predicate then moves
-the guesses that missed.  One block size, ``_STACK_BLOCK``, bounds every
-temporary.  Rows are counted a block of whole rows of about that many values
-at a time (one row when a row is longer), each block sorted or gridded once;
-one loop then walks the rows a tile of that many positions at a time, and
-each pass counts just its tile: window ends of sorted queries, their guesses
-merged with the span of the row they cover a piece of that many values at a
-time; strip candidates, checked that many pairs at a time; or near lags.  A
-record so needs the sorted copies of its samples (at d >= 2 with their keys
-and window ends) and O(block) more memory per pass.  Every pass runs in the
-calling thread.
+sorted guesses q + eps with their sorted row; the guesses that missed are
+then bisected on the one predicate "at or below the query or close to it",
+which holds on a prefix of the row.  One block size, ``_STACK_BLOCK``,
+bounds every temporary.  Rows are counted a block of whole rows of about
+that many values at a time (one row when a row is longer), each block
+sorted or gridded once; one loop then walks the rows a tile of that many
+positions at a time, and each pass counts just its tile: window ends of
+sorted queries, their guesses merged with the span of the row they cover a
+piece of that many values at a time; strip candidates, checked that many
+pairs at a time; or near lags.  A record so needs the sorted copies of its
+samples (at d >= 2 with their keys and window ends) and O(block) more
+memory per pass.  Every pass runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -234,36 +235,22 @@ def _close_in_ranges(
 # ---------------------------------------------------------------------------
 
 
-def _gallop(inside: np.ndarray, limit: np.ndarray, step: int, holds) -> np.ndarray:
-    """The first position past ``inside`` in direction ``step`` where ``holds`` fails.
+def _bisect(inside: np.ndarray, outside: np.ndarray, holds) -> np.ndarray:
+    """The first position in each bracket (inside, outside] where ``holds`` fails.
 
     ``holds(pos, which)`` is a predicate of the queries ``which`` at the flat
-    positions ``pos``; it holds at each query's ``inside`` and, going in the
-    direction of ``step`` (+1 or -1), holds on a run and then fails for good.
-    ``limit`` is each query's first position out of its row, where the answer
-    stops.  Strides double until they pass the run's end, which is then
-    bisected, so an end k positions away costs O(log k) rounds.
+    positions ``pos``; over each bracket it holds on a prefix and then fails
+    for good.  It is never asked at the bracket's ends: ``inside`` holds or
+    lies just before the query's row, and ``outside`` fails or lies just past
+    it.  The brackets, fresh arrays, are halved in place, O(log n) rounds.
     """
-    inside = inside.copy()
-    outside = limit.copy()
-    active = np.arange(inside.size)
-    while active.size:  # gallop: strides 1, 2, 4, ... until one fails
-        probe = inside[active] + step
-        within = (probe - limit[active]) * step < 0
-        ok = np.zeros(active.size, dtype=bool)
-        ok[within] = holds(probe[within], active[within])
-        inside[active[ok]] = probe[ok]
-        stop = within & ~ok
-        outside[active[stop]] = probe[stop]
-        active = active[ok]
-        step *= 2
-    active = np.flatnonzero(np.abs(outside - inside) > 1)
-    while active.size:  # bisect the bracket [inside, outside)
+    active = np.flatnonzero(outside - inside > 1)
+    while active.size:
         mid = (inside[active] + outside[active]) // 2
         ok = holds(mid, active)
         inside[active[ok]] = mid[ok]
         outside[active[~ok]] = mid[~ok]
-        active = active[np.abs(outside[active] - inside[active]) > 1]
+        active = active[outside[active] - inside[active] > 1]
     return outside
 
 
@@ -309,15 +296,15 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     at d >= 2 they mark where each coordinate's cells start.  ``xs`` is an
     (R, n) stack of sorted rows and ``q`` an (R, m) stack of sorted rows of
     queries; the queries of row r are windowed in row r of ``xs`` only.  The
-    end is the first value above the query that fails ``diff*diff <= eps2``.
-    Rounding is monotone, so the predicate holds on a contiguous run of a
-    sorted row, and the guesses ``q + eps`` of a row stay sorted.  The guesses
-    are placed by one stable merge with their rows, the whole stack at once
-    for rows of up to ``_STACK_BLOCK`` values and a piece of the span at a
-    time for longer ones.  Each guess is then checked once, for the whole
-    stack, against the values on both sides of it; only the queries where the
-    exact predicate disagrees are grown or shrunk, by galloping, each stopping
-    at its own row's bounds.
+    end is the first value that fails the one predicate "at or below the
+    query, or ``diff*diff <= eps2``".  Rounding is monotone, so the predicate
+    holds on a prefix of a sorted row, and the guesses ``q + eps`` of a row
+    stay sorted.  The guesses are placed by one stable merge with their rows,
+    the whole stack at once for rows of up to ``_STACK_BLOCK`` values and a
+    piece of the span at a time for longer ones.  Each guess is then checked
+    once, for the whole stack, against the values on both sides of it; the
+    queries where the predicate disagrees with the guess are bisected, all in
+    one call, each within its own row, in O(log n) rounds.
     """
     rows, n = xs.shape
     m = q.shape[1]
@@ -329,30 +316,27 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
         flat = (np.stack([_span_ends(x, gr) for x, gr in zip(xs, g)]) + first).ravel()
     flat_x, flat_q = xs.ravel(), q.ravel()
 
-    def close(x, qv):  # squares the difference in the fresh array x
+    def holds(x, qv):  # at or below the query or close to it; squares x - qv in the fresh x
+        below = x <= qv
         x -= qv
         x *= x
-        return x <= eps2
+        below |= x <= eps2
+        return below
 
-    def beyond(x, qv):  # above the query and not close
-        return (x > qv) & ~close(x, qv)
-
-    # whether the value at the end, and the one before it, lie in the query's
-    # row: the end is the number of the row's values at or below the guess
-    at_end, before_end = (g < xs[:, -1:]).ravel(), (g >= xs[:, :1]).ravel()
-    grow = np.flatnonzero(at_end & close(flat_x.take(flat, mode="clip"), flat_q))
+    # a guess is early when the predicate holds at its end, and late when it
+    # fails just before it, each position checked only if it lies in the
+    # query's row: the end is the number of the row's values at or below g
+    early, late = (g < xs[:, -1:]).ravel(), (g >= xs[:, :1]).ravel()
+    early &= holds(flat_x.take(flat, mode="clip"), flat_q)
     flat -= 1
-    shrink = np.flatnonzero(before_end & beyond(flat_x.take(flat, mode="clip"), flat_q))
+    late &= ~holds(flat_x.take(flat, mode="clip"), flat_q)
     flat += 1
-    if grow.size:  # up to the end of the query's row
-        flat[grow] = _gallop(
-            flat[grow], (grow // m + 1) * n, 1,
-            lambda pos, k: close(flat_x[pos], flat_q[grow[k]]),
-        )
-    if shrink.size:  # down to one before the start of the query's row
-        flat[shrink] = 1 + _gallop(
-            flat[shrink] - 1, shrink // m * n - 1, -1,
-            lambda pos, k: beyond(flat_x[pos], flat_q[shrink[k]]),
+    miss = np.flatnonzero(early | late)
+    if miss.size:  # an early end lies in (flat, row end], a late one in [row start, flat - 1]
+        start, grow = miss // m * n, early[miss]
+        flat[miss] = _bisect(
+            np.where(grow, flat[miss], start - 1), np.where(grow, start + n, flat[miss] - 1),
+            lambda pos, k: holds(flat_x[pos], flat_q[miss[k]]),
         )
     return flat.reshape(q.shape) - first
 

@@ -168,14 +168,16 @@ class ExperimentPlan:
             raise ValueError(f"smallest grid n must be >= 10, got {self.ns[0]}")
         if self.reps < 2:
             raise ValueError(f"reps must be >= 2, got {self.reps}")
+        # every grid point's gap and radius are checked before any replication runs
         for e in self.estimators:
-            if e.variant == "incomplete":
-                for n in self.ns:
-                    gap = e.gap_rule.at(n)
-                    if gap >= n - 1:
-                        raise ValueError(
-                            f"gap rule {e.gap_rule.label} gives gap {gap} >= n-1 at n={n}"
-                        )
+            for n in self.ns:
+                gap = None if e.variant == "complete" else e.gap_rule.at(n)
+                if gap is not None and gap >= n - 1:
+                    raise ValueError(
+                        f"gap rule {e.gap_rule.label} gives gap {gap} >= n-1 at n={n}"
+                    )
+                for piece in est._PIECES[e.functional]:
+                    est._normalizer(piece, n, self.schedule.d, self.schedule.epsilon_at(n), gap)
 
     @property
     def functional(self) -> str:
@@ -378,10 +380,12 @@ def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
 
 def fit_loglog(ns, mses, estimator: str = "") -> SlopeFit:
     """Least-squares slope of log(mse) against log(n)."""
-    ns = [int(n) for n in ns]
+    ns = [core._check_integer(n, "sample size") for n in ns]
     mses = [float(m) for m in mses]
     if len(ns) < 3:
         raise ValueError(f"need at least 3 grid points to fit a slope, got {len(ns)}")
+    if any(n < 1 for n in ns):
+        raise ValueError(f"sample sizes must be positive integers, got {ns}")
     if any(m <= 0.0 for m in mses):
         raise ValueError("all mse values must be positive for a log-log fit")
     log_n = np.log(np.asarray(ns, dtype=float))

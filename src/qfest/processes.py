@@ -80,6 +80,10 @@ class SeededStream:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
+        object.__setattr__(self, "stream", _check_integer(self.stream, "stream"))
+
     def generator(self) -> np.random.Generator:
         """Fresh counter-based generator keyed by (seed, stream)."""
         return np.random.Generator(np.random.Philox(key=self._key()))
@@ -430,7 +434,7 @@ def _generate_stack(spec, n: int, seed: int, ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.uint64)
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bits)
-    key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
+    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
     fresh = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},

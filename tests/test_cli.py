@@ -292,6 +292,14 @@ class TestRates:
         path = self._write_csv(tmp_path, [(100, 0.01)])
         assert main(["rates", path]) == 2
 
+    def test_zero_sample_size_is_one_clean_input_error(self, tmp_path, capfd):
+        # a zero n once reached the SVD: RuntimeWarnings, LAPACK lines, then an error
+        path = self._write_csv(tmp_path, [(0, 0.04), (200, 0.02), (400, 0.01)])
+        assert main(["rates", path]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: sample sizes must be positive integers, got [0, 200, 400]"]
+
     def test_malformed_csv_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "junk.csv"
         path.write_text("not,a,harness,file\n1,2,3,4\n")
@@ -504,6 +512,27 @@ class TestScheduleConstants:
         assert main(["simulate", "--preset", "smoke", "--c", c, "--out", str(out)]) == 2
         assert f"two values would both write {tmp_path / name}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestRadiusCheckedBeforeRuns:
+    def test_simulate_rejects_a_radius_beyond_the_float_range_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the normalizer overflows only at n = 400, after the replications at
+        # n = 100 and 200 would have run
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plan ran before every radius was checked")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        out = tmp_path / "o.csv"
+        argv = ["simulate", "--process-x", "iid", "--functional", "q20", "--c", "1e305",
+                "--reps", "200000", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: normalizer at d=1, epsilon=1.4978661367769954e+303 "
+            "is not a positive finite float\n"
+        )
+        assert not out.exists()
 
 
 class TestUnwritableOutput:

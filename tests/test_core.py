@@ -627,6 +627,12 @@ _MERGE_CASES = {
         lambda rng, n: rng.choice([-1.0, 1.0], size=n) * rng.uniform(1.5e308, 1.79e308, size=n),
         (1e150, 1e308, 1.7e308),
     ),
+    # runs of ties one ulp (0.125) apart, where q + eps rounds past the close
+    # run, so the guesses are late
+    "1e15-runs": (
+        lambda rng, n: 1e15 + rng.integers(0, 4, size=n) * np.spacing(1e15),
+        (0.6 * np.spacing(1e15), 1.6 * np.spacing(1e15)),
+    ),
 }
 
 

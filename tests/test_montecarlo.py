@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -128,6 +129,15 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="gap must be an integer, got 2.5"):
             make(2.5)
         assert make(3.0) == GapRule.fixed(3) and make(3.0).label == "fixed3"
+
+    @pytest.mark.parametrize("spec", [EstimatorSpec("q20"), EstimatorSpec("q20", "incomplete")],
+                             ids=["complete", "incomplete"])
+    def test_radius_beyond_the_float_range_is_rejected_at_any_grid_point(self, spec):
+        # the normalizers at n = 100 and 200 are finite; the one at n = 400 is not
+        schedule = EpsilonSchedule("thm1iii", d=1, alpha=1.0, c=1e305)
+        with pytest.raises(ValueError, match="^normalizer at d=1, epsilon=1.49786"):
+            _iid_q20_plan(schedule=schedule, ns=(100, 200, 400), estimators=(spec,))
+        _iid_q20_plan(schedule=schedule, ns=(100, 200), estimators=(spec,))
 
     def test_schedule_dimension_must_match_the_process(self):
         # every built-in process is scalar; a d = 3 schedule would use the
@@ -305,6 +315,18 @@ class TestSlopeFit:
     def test_requires_three_points(self):
         with pytest.raises(ValueError):
             fit_loglog((100, 200), (1.0, 0.5))
+
+    @pytest.mark.parametrize("ns,message", [
+        ((10.7, 20, 40), "sample size must be an integer, got 10.7"),
+        ((0, 20, 40), "sample sizes must be positive integers"),
+        ((-10, 20, 40), "sample sizes must be positive integers"),
+    ], ids=["fractional", "zero", "negative"])
+    def test_requires_positive_integer_sample_sizes(self, ns, message):
+        # a fractional n was once fitted truncated, and a zero n failed in the SVD
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                fit_loglog(ns, (1.0, 0.5, 0.25))
 
     def test_requires_positive_mse(self):
         with pytest.raises(ValueError):

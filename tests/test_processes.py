@@ -50,6 +50,17 @@ class TestSeededStream:
         assert base.child(1, 2) != base.child(2, 1)
         assert base.child(0) != base.child(1)
 
+    @pytest.mark.parametrize("args", [(1.5,), (0, math.inf), (math.nan, 0), (0, 2.5)])
+    def test_rejects_a_non_integer_field(self, args):
+        # a fractional seed once drew silently with its truncation
+        with pytest.raises(ValueError, match="^(seed|stream) must be an integer"):
+            SeededStream(*args)
+
+    def test_integral_fields_are_stored_as_ints(self):
+        stream = SeededStream(7.0, 3.0)
+        assert stream == SeededStream(7, 3)
+        assert type(stream.seed) is int and type(stream.stream) is int
+
     def test_philox_reference_sequence(self):
         # counter-based contract: fixed key, fixed draws, any platform
         got = SeededStream(12345, 6789).generator().integers(0, 2**32, 4)
