@@ -12,13 +12,19 @@ fixed order with exact (compensated) summation, so results are bit-identical
 for any worker count and any execution order.  Failures of single
 replications are recorded; a run aborts if more than 0.1% of them fail.
 
-Replications run in fixed-size chunks.  A chunk's stream ids are derived in
-one array pass, and its draws are generated as row stacks, one row per
-replication: per-row driving draws, then one transform over the stack.  Each
-piece is counted once over the whole stack by the same count step the library
-uses on a stack of one, into one record of count arrays that each estimator
-evaluates in one call, so every value equals the library estimate on the same
-draw bit for bit.
+Replications run in chunks sized by values, not replications: a chunk at
+grid point n holds ``max(1, _CHUNK_VALUES // (n * d))`` replications, so its
+x and y stacks and its generation buffers each hold about 2^16 values
+(512 KiB) when n * d fits the budget, and one replication's values when it
+does not.  On the fig1 pair a run's traced peak is about 2.7 MB at
+n = 2*10^4 for any replication count, and 3.8 MB at n = 10^5.  The split
+depends on n and d only, never on the worker count.  A chunk's stream ids are
+derived in one array pass, and its draws are generated as row stacks, one
+row per replication: per-row driving draws, then one transform over the
+stack.  Each piece is counted once over the whole stack by the same count
+step the library uses on a stack of one, into one record of count arrays that
+each estimator evaluates in one call, so every value equals the library
+estimate on the same draw bit for bit.
 
 Bias is measured against the limit functional, not its radius-smoothed
 version: that is the estimand of the convergence statements being verified.
@@ -45,9 +51,12 @@ from .processes import SeededStream, _child_ids, _generate_stack
 CSV_HEADER = "estimator,process,n,d,epsilon,gap,reps,mse,bias2,variance,se_mse,seed"
 PLOT_HEADER = "log_n,log_mse,fit_line"
 
-# Replications are dispatched in fixed-size chunks regardless of worker
-# count, so the task split never depends on the parallelism level.
-_CHUNK_REPS = 250
+# A chunk at grid point n holds max(1, _CHUNK_VALUES // (n * d)) replications,
+# so each of its stacks holds at most this many float64 values (512 KiB) unless
+# one replication is larger; the split never depends on the worker count.  A
+# smaller budget makes the allocator return and re-fault its heap on every
+# chunk: at 2^14 or 2^15 values a fig1 pass ran about 30% slower.
+_CHUNK_VALUES = 2**16
 
 _FUNCTIONALS = tuple(est._PIECES)
 
@@ -340,33 +349,34 @@ def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
     """
     truth = resolve_truth(plan)
     eps_at = {n: plan.schedule.epsilon_at(n) for n in plan.ns}
-    chunks = [
-        (gi, n, r0, min(r0 + _CHUNK_REPS, plan.reps))
-        for gi, n in enumerate(plan.ns)
-        for r0 in range(0, plan.reps, _CHUNK_REPS)
-    ]
-    parts: dict[tuple[int, int], np.ndarray] = {}
+    chunks = []
+    for gi, n in enumerate(plan.ns):
+        step = max(1, _CHUNK_VALUES // (n * plan.schedule.d))
+        chunks += [(gi, n, r0, min(r0 + step, plan.reps)) for r0 in range(0, plan.reps, step)]
     # the pool starts all its workers at once, so no more than it can use
     workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (gi, r0): pool.submit(_eval_chunk, plan, gi, n, eps_at[n], r0, r1)
+            futures = [
+                pool.submit(_eval_chunk, plan, gi, n, eps_at[n], r0, r1)
                 for gi, n, r0, r1 in chunks
-            }
-            parts = {key: f.result() for key, f in futures.items()}
+            ]
+            parts = [f.result() for f in futures]
     else:
-        for gi, n, r0, r1 in chunks:
-            parts[(gi, r0)] = _eval_chunk(plan, gi, n, eps_at[n], r0, r1)
+        parts = [_eval_chunk(plan, gi, n, eps_at[n], r0, r1) for gi, n, r0, r1 in chunks]
+    # per grid point, every estimator's values in replication order, (E, reps)
+    values = [
+        np.concatenate([part for (g, *_), part in zip(chunks, parts) if g == gi], axis=1)
+        for gi in range(len(plan.ns))
+    ]
 
     rows = []
     for e_i, spec in enumerate(plan.estimators):
         for gi, n in enumerate(plan.ns):
-            values = np.concatenate(
-                [parts[(gi, r0)][e_i] for r0 in range(0, plan.reps, _CHUNK_REPS)]
-            )
             gap = spec.gap_rule.at(n) if spec.variant == "incomplete" else 0
-            rows.append(_aggregate(plan, spec.label, gi, n, eps_at[n], gap, values, truth))
+            rows.append(
+                _aggregate(plan, spec.label, gi, n, eps_at[n], gap, values[gi][e_i], truth)
+            )
     return McResult(
         rows=tuple(rows), process=plan.process_label, d=plan.schedule.d, seed=plan.seed,
         truth=truth,
@@ -379,15 +389,21 @@ def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
 
 
 def fit_loglog(ns, mses, estimator: str = "") -> SlopeFit:
-    """Least-squares slope of log(mse) against log(n)."""
+    """Least-squares slope of log(mse) against log(n).
+
+    Raises ``ValueError`` unless there are at least three points, at least two
+    distinct positive integer sample sizes, and every mse is finite and positive.
+    """
     ns = [core._check_integer(n, "sample size") for n in ns]
     mses = [float(m) for m in mses]
     if len(ns) < 3:
         raise ValueError(f"need at least 3 grid points to fit a slope, got {len(ns)}")
     if any(n < 1 for n in ns):
         raise ValueError(f"sample sizes must be positive integers, got {ns}")
-    if any(m <= 0.0 for m in mses):
-        raise ValueError("all mse values must be positive for a log-log fit")
+    if len(set(ns)) < 2:
+        raise ValueError(f"need at least 2 distinct sample sizes to fit a slope, got {ns}")
+    if not all(0.0 < m < math.inf for m in mses):
+        raise ValueError(f"mse values must be finite and positive for a log-log fit, got {mses}")
     log_n = np.log(np.asarray(ns, dtype=float))
     log_mse = np.log(np.asarray(mses, dtype=float))
     slope, intercept = np.polyfit(log_n, log_mse, 1)

@@ -300,6 +300,20 @@ class TestRates:
         assert out == ""
         assert err.splitlines() == ["error: sample sizes must be positive integers, got [0, 200, 400]"]
 
+    @pytest.mark.parametrize("rows,message", [
+        ([(100, 0.01), (100, 0.02), (100, 0.03)], "need at least 2 distinct sample sizes"),
+        ([(100, 0.04), (200, math.nan), (400, 0.01)], "mse values must be finite and positive"),
+        ([(100, 0.04), (200, math.inf), (400, 0.01)], "mse values must be finite and positive"),
+    ], ids=["one-n", "nan-mse", "inf-mse"])
+    def test_unfittable_rows_are_one_clean_input_error(self, tmp_path, capfd, rows, message):
+        # these once printed a slope (or slope=nan) and exited 0
+        path = self._write_csv(tmp_path, rows)
+        assert main(["rates", path]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+
     def test_malformed_csv_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "junk.csv"
         path.write_text("not,a,harness,file\n1,2,3,4\n")

@@ -2,8 +2,10 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -332,6 +334,22 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             fit_loglog((100, 200, 300), (1.0, 0.0, 0.25))
 
+    def test_requires_two_distinct_sample_sizes(self):
+        # one n leaves the slope undefined; polyfit once returned one with a RankWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^need at least 2 distinct sample sizes"):
+                fit_loglog((100, 100, 100), (1.0, 2.0, 3.0))
+        assert fit_loglog((100, 100, 200), (1.0, 1.0, 0.5)).slope == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_requires_finite_mse(self, bad):
+        # a NaN or infinite mse once gave slope=nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^mse values must be finite and positive"):
+                fit_loglog((100, 200, 400), (1.0, bad, 0.25))
+
     def test_multi_estimator_requires_label(self):
         rows = tuple(
             McRow(label, n, 0.01, 0, 4.0 / n, 0.0, 4.0 / n, 1e-4, 100, 0)
@@ -613,3 +631,77 @@ class TestCountOnce:
                              "--stream", stream_id, "--out", str(out)])
             assert code == 0
             assert np.array_equal(np.loadtxt(out, delimiter=",", ndmin=2), want)
+
+
+def _traced_peak(func, *args):
+    """Bytes allocated at the peak of ``func(*args)`` above what was allocated before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestChunkValues:
+    """A chunk holds about ``_CHUNK_VALUES`` values, however many replications that is."""
+
+    N = 20_000
+
+    def test_values_over_several_chunks_equal_the_library(self, monkeypatch):
+        plan = replace(_fig1_plan(reps=8), ns=(self.N,))
+        spans, values = [], []
+        eval_chunk, aggregate = mc._eval_chunk, mc._aggregate
+
+        def recorded_chunk(plan, gi, n, eps, r0, r1):
+            spans.append((r0, r1))
+            return eval_chunk(plan, gi, n, eps, r0, r1)
+
+        def recorded_aggregate(*args):
+            values.append(args[6])
+            return aggregate(*args)
+
+        monkeypatch.setattr(mc, "_eval_chunk", recorded_chunk)
+        monkeypatch.setattr(mc, "_aggregate", recorded_aggregate)
+        text = csv_text(run(plan))
+        step = mc._CHUNK_VALUES // self.N
+        assert spans == [(r0, min(r0 + step, plan.reps)) for r0 in range(0, plan.reps, step)]
+        assert len(spans) > 1
+        eps = plan.schedule.epsilon_at(self.N)
+        base = SeededStream(plan.seed)
+        for r in range(plan.reps):
+            x, y = paired_generate(plan.process_x, plan.process_y, self.N, base.child(0, r))
+            assert values[0][r] == estimate_divergence(x, y, eps)
+            assert values[1][r] == estimate_divergence(x, y, eps, "incomplete", log_gap(self.N))
+        monkeypatch.undo()  # the pool pickles the module's own functions
+        assert csv_text(run(plan, workers=2)) == text
+
+    def test_one_replication_per_chunk_when_n_exceeds_the_budget(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK_VALUES", 60)
+        spans = []
+        eval_chunk = mc._eval_chunk
+
+        def recorded_chunk(plan, gi, n, eps, r0, r1):
+            spans.append((gi, r0, r1))
+            return eval_chunk(plan, gi, n, eps, r0, r1)
+
+        plan = _iid_q20_plan(ns=(20, 50, 100), reps=5)
+        want = csv_text(run(plan))
+        monkeypatch.setattr(mc, "_eval_chunk", recorded_chunk)
+        assert csv_text(run(plan)) == want
+        assert spans == (
+            [(0, 0, 3), (0, 3, 5)] + [(gi, r, r + 1) for gi in (1, 2) for r in range(5)]
+        )
+
+    def test_traced_peak_does_not_grow_with_reps(self):
+        # with a fixed number of replications per chunk, 40 replications at
+        # this n traced about ten times the peak of 4
+        few, many = (
+            _traced_peak(run, replace(_fig1_plan(reps=reps), ns=(self.N,))) for reps in (4, 40)
+        )
+        assert many < 1.25 * few
