@@ -73,68 +73,58 @@ class _InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _spec_fields(text: str) -> tuple[str, dict[str, str]]:
-    parts = text.split(":")
-    fields: dict[str, str] = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise _InputError(f"process spec field {part!r} is not key=value")
-        key, value = part.split("=", 1)
-        fields[key] = value
-    return parts[0], fields
-
-
-def _no_extra(kind: str, fields: dict) -> None:
-    if fields:
-        raise _InputError(f"unknown {kind} parameters: {', '.join(sorted(fields))}")
-
-
-def _base_marginal(fields: dict[str, str]):
-    base = fields.pop("base", "normal")
-    if base == "normal":
-        return NormalMarginal(float(fields.pop("mean", 0.0)),
-                              float(fields.pop("variance", 1.0)))
-    if base == "exponential":
-        return ExponentialMarginal(float(fields.pop("rate", 1.0)))
-    if base == "uniform":
-        return UniformMarginal(float(fields.pop("lo", 0.0)), float(fields.pop("hi", 1.0)))
-    raise _InputError(f"unknown base distribution {base!r}")
+# Each process kind and marginal law a spec can name: its class, and the
+# converter of each of its fields.  A field the spec leaves out takes the
+# class's own default.
+_KINDS = {
+    "gaussian-ma": (GaussianMA, {"taps": lambda v: tuple(float(t) for t in v.split("|")),
+                                "shift": float}),
+    "min-exp": (MinExp, {"rate": float, "window": int}),
+    "product-gauss": (ProductGauss, {}),
+}
+_MARGINALS = {
+    "normal": (NormalMarginal, {"mean": float, "variance": float}),
+    "exponential": (ExponentialMarginal, {"rate": float}),
+    "uniform": (UniformMarginal, {"lo": float, "hi": float}),
+}
+# The kinds built on a marginal law, each with the law it takes; None means a
+# ``base`` field names it, normal by default.
+_BASED = {"max-iid": (MaxIid, "uniform"), "bernoulli-shuffle": (BernoulliShuffle, "normal"),
+          "iid": (Iid, None)}
 
 
 def parse_process(text: str):
-    """Build a process from a compact ``kind:key=value:...`` spec string."""
-    kind, fields = _spec_fields(text)
+    """Build a process from a compact ``kind:key=value:...`` spec string.
+
+    Every field is converted before an unknown field is reported, and an
+    unknown field is reported before the process is built.
+    """
+    kind, *parts = text.split(":")
+    fields: dict[str, str] = {}
+    for part in parts:
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise _InputError(f"process spec field {part!r} is not key=value")
+        fields[key] = value
+    if kind in _BASED:
+        process, base = _BASED[kind]
+        if base is None:
+            base = fields.pop("base", "normal")
+            if base not in _MARGINALS:
+                raise _InputError(f"unknown base distribution {base!r}")
+        law, converters = _MARGINALS[base]
+    elif kind in _KINDS:
+        law, (process, converters) = None, _KINDS[kind]
+    else:
+        raise _InputError(f"unknown process kind {kind!r}")
     try:
-        if kind == "gaussian-ma":
-            taps = tuple(float(t) for t in fields.pop("taps", "1").split("|"))
-            shift = float(fields.pop("shift", 0.0))
-            _no_extra(kind, fields)
-            return GaussianMA(taps=taps, shift=shift)
-        if kind == "min-exp":
-            rate = float(fields.pop("rate", 1.0 / 3.0))
-            window = int(fields.pop("window", 3))
-            _no_extra(kind, fields)
-            return MinExp(rate=rate, window=window)
-        if kind == "product-gauss":
-            _no_extra(kind, fields)
-            return ProductGauss()
-        if kind == "max-iid":
-            lo = float(fields.pop("lo", 0.0))
-            hi = float(fields.pop("hi", 1.0))
-            _no_extra(kind, fields)
-            return MaxIid(base=UniformMarginal(lo, hi))
-        if kind == "bernoulli-shuffle":
-            mean = float(fields.pop("mean", 0.0))
-            variance = float(fields.pop("variance", 1.0))
-            _no_extra(kind, fields)
-            return BernoulliShuffle(base=NormalMarginal(mean, variance))
-        if kind == "iid":
-            base = _base_marginal(fields)
-            _no_extra(kind, fields)
-            return Iid(base=base)
+        args = {key: convert(fields.pop(key)) for key, convert in converters.items()
+                if key in fields}
+        if fields:
+            raise _InputError(f"unknown {kind} parameters: {', '.join(sorted(fields))}")
+        return process(**args) if law is None else process(base=law(**args))
     except ValueError as exc:
         raise _InputError(f"bad process spec {text!r}: {exc}") from exc
-    raise _InputError(f"unknown process kind {kind!r}")
 
 
 def _parse_estimator_tokens(text: str, functional: str) -> tuple[EstimatorSpec, ...]:

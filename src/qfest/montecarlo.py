@@ -48,7 +48,15 @@ from .bandwidth import EpsilonSchedule
 from .estimators import AsymptoticVariance, EstimationError
 from .processes import SeededStream, _child_ids, _generate_stack
 
-CSV_HEADER = "estimator,process,n,d,epsilon,gap,reps,mse,bias2,variance,se_mse,seed"
+# The summary CSV's columns, each with the type ``read_csv_rows`` reads it back
+# as.  A row takes ``process``, ``d`` and ``seed`` from its run, the rest from
+# its McRow.
+_CSV_COLUMNS = (
+    ("estimator", str), ("process", str), ("n", int), ("d", int), ("epsilon", float),
+    ("gap", int), ("reps", int), ("mse", float), ("bias2", float), ("variance", float),
+    ("se_mse", float), ("seed", int),
+)
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 PLOT_HEADER = "log_n,log_mse,fit_line"
 
 # A chunk at grid point n holds max(1, _CHUNK_VALUES // (n * d)) replications,
@@ -391,9 +399,13 @@ def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
 def fit_loglog(ns, mses, estimator: str = "") -> SlopeFit:
     """Least-squares slope of log(mse) against log(n).
 
-    Raises ``ValueError`` unless there are at least three points, at least two
-    distinct positive integer sample sizes, and every mse is finite and positive.
+    Raises ``ValueError`` unless there is one mse per sample size, at least
+    three points, at least two distinct positive integer sample sizes, and every
+    mse is finite and positive.
     """
+    ns, mses = list(ns), list(mses)
+    if len(ns) != len(mses):
+        raise ValueError(f"got {len(ns)} sample sizes and {len(mses)} mse values")
     ns = [core._check_integer(n, "sample size") for n in ns]
     mses = [float(m) for m in mses]
     if len(ns) < 3:
@@ -470,14 +482,11 @@ def csv_text(result: McResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
+    run_fields = {"process": result.process, "d": result.d, "seed": result.seed}
     for r in result.rows:
-        writer.writerow(
-            [
-                r.estimator, result.process, r.n, result.d, repr(r.epsilon), r.gap,
-                r.reps, repr(r.mse), repr(r.bias2), repr(r.variance), repr(r.se_mse),
-                result.seed,
-            ]
-        )
+        fields = {**vars(r), **run_fields}
+        # the csv module writes every float, numpy's float64 too, as float's repr
+        writer.writerow([fields[name] for name, _ in _CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -531,12 +540,5 @@ def read_csv_rows(path) -> list[dict]:
             continue
         if len(rec) != len(header):
             raise ValueError(f"malformed CSV row {rec!r}")
-        rows.append(
-            {
-                "estimator": rec[0], "process": rec[1], "n": int(rec[2]),
-                "d": int(rec[3]), "epsilon": float(rec[4]), "gap": int(rec[5]),
-                "reps": int(rec[6]), "mse": float(rec[7]), "bias2": float(rec[8]),
-                "variance": float(rec[9]), "se_mse": float(rec[10]), "seed": int(rec[11]),
-            }
-        )
+        rows.append({name: kind(value) for (name, kind), value in zip(_CSV_COLUMNS, rec)})
     return rows

@@ -66,6 +66,10 @@ class TestRegimeValidation:
         with pytest.raises(ValueError):
             EpsilonSchedule("thm9", d=1, alpha=1.0)
 
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match=r"^dimension must be a positive integer, got 0$"):
+            EpsilonSchedule("thm1iii", d=0)
+
     def test_rejects_bad_constants(self):
         with pytest.raises(ValueError):
             EpsilonSchedule("thm1iii", d=1, alpha=1.0, c=0.0)

@@ -18,7 +18,17 @@ from qfest.montecarlo import (
     read_csv_rows,
     run,
 )
-from qfest.processes import GaussianMA, MinExp, SeededStream, generate
+from qfest.processes import (
+    BernoulliShuffle,
+    GaussianMA,
+    Iid,
+    MaxIid,
+    MinExp,
+    NormalMarginal,
+    SeededStream,
+    UniformMarginal,
+    generate,
+)
 
 
 def _kv(capsys):
@@ -60,6 +70,39 @@ class TestParseProcess:
 
         with pytest.raises(_InputError):
             parse_process("min-exp:cadence=2")
+
+    @pytest.mark.parametrize("text, want", [
+        ("max-iid:lo=-1:hi=2", MaxIid(base=UniformMarginal(-1.0, 2.0))),
+        ("bernoulli-shuffle:mean=1:variance=4", BernoulliShuffle(base=NormalMarginal(1.0, 4.0))),
+        ("iid:base=uniform:lo=2:hi=5", Iid(base=UniformMarginal(2.0, 5.0))),
+    ], ids=["max-iid", "bernoulli-shuffle", "iid-uniform"])
+    def test_base_law_kinds_parse_and_generate(self, tmp_path, capsys, text, want):
+        assert parse_process(text) == want
+        out = tmp_path / "sample.csv"
+        assert main(["generate", "--process", text, "--n", "30", "--seed", "2",
+                     "--out", str(out)]) == 0
+        assert _kv(capsys)["process"] == want.kind
+        sample = np.loadtxt(out, delimiter=",", ndmin=2)
+        assert np.array_equal(sample, generate(want, 30, SeededStream(2)))
+
+    @pytest.mark.parametrize("text, message", [
+        ("gaussian-ma:noeq", "process spec field 'noeq' is not key=value"),
+        ("iid:base=cauchy", "unknown base distribution 'cauchy'"),
+        ("min-exp:rate=-1",
+         "bad process spec 'min-exp:rate=-1': rate must be finite and > 0, got -1.0"),
+        ("gaussian-ma:zz=1:aa=2", "unknown gaussian-ma parameters: aa, zz"),
+        ("min-exp:zz=1", "unknown min-exp parameters: zz"),
+        ("product-gauss:zz=1", "unknown product-gauss parameters: zz"),
+        ("max-iid:base=uniform", "unknown max-iid parameters: base"),
+        ("bernoulli-shuffle:rate=1", "unknown bernoulli-shuffle parameters: rate"),
+        ("iid:base=exponential:mean=0", "unknown iid parameters: mean"),
+    ], ids=["no-equals", "unknown-base", "bad-value", "gaussian-ma-field", "min-exp-field",
+            "product-gauss-field", "max-iid-field", "bernoulli-shuffle-field", "iid-field"])
+    def test_spec_error_exits_two_with_its_message(self, tmp_path, capsys, text, message):
+        out = tmp_path / "sample.csv"
+        assert main(["generate", "--process", text, "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -591,3 +634,144 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path / bad) in err
         assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestEstimatorTokens:
+    @pytest.mark.parametrize("tokens, message", [
+        ("bogus", "unknown estimator token 'bogus'"),
+        ("incomplete:cube", "unknown gap rule 'cube' in 'incomplete:cube'"),
+        (",", "estimator list is empty"),
+    ], ids=["unknown-token", "unknown-gap-rule", "empty-list"])
+    def test_bad_list_is_input_error(self, tmp_path, capsys, tokens, message):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--preset", "smoke", "--estimators", tokens, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_blank_token_is_skipped(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--preset", "smoke", "--estimators", "complete,,incomplete",
+                "--out", str(out)]
+        assert main(argv) == 0
+        labels = [r["estimator"] for r in read_csv_rows(out)]
+        assert list(dict.fromkeys(labels)) == ["divergence-complete",
+                                               "divergence-incomplete-log"]
+
+
+class TestClamp:
+    """x = y with four points 0.3 apart: the divergence estimate at 0.2 is -1.25."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        path = _write_sample(tmp_path, "x.csv", [0.0, 0.3, 0.6, 0.9])
+        return ["estimate", path, path, "--functional", "divergence", "--epsilon", "0.2"]
+
+    def test_flag_floors_a_negative_divergence(self, capsys, argv):
+        assert main(argv) == 0
+        assert _kv(capsys)["value"] == "-1.25"
+        assert main(argv + ["--clamp"]) == 0
+        assert _kv(capsys)["value"] == "0.0"
+
+    @pytest.mark.parametrize("text, value", [("yes", "0.0"), ("no", "-1.25")])
+    def test_config_value(self, tmp_path, capsys, argv, text, value):
+        config = tmp_path / "run.conf"
+        config.write_text(f"clamp={text}\n")
+        assert main(argv + ["--config", str(config)]) == 0
+        assert _kv(capsys)["value"] == value
+
+    def test_config_value_that_is_not_a_boolean(self, tmp_path, capsys, argv):
+        config = tmp_path / "run.conf"
+        config.write_text("clamp=maybe\n")
+        assert main(argv + ["--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: config key clamp: cannot parse boolean 'maybe'\n"
+
+
+class TestConfigFile:
+    def test_unreadable_file_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "missing.conf"
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {config}: ")
+
+    def test_line_without_equals_names_its_line(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("reps=3\nnoequals\n")
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {config}:2: expected key=value, got 'noequals'\n"
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("# the smoke run, at two replications\n\npreset=smoke\n   \nreps=3\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert {r["reps"] for r in read_csv_rows(out)} == {3}
+
+
+class TestEstimateArguments:
+    @pytest.fixture
+    def path(self, tmp_path):
+        return _write_sample(tmp_path, "x.csv", [0.1, 0.2, 0.25, 0.9])
+
+    def test_missing_functional(self, capsys, path):
+        assert main(["estimate", path, "--epsilon", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: missing required option --functional\n"
+
+    def test_missing_sample_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.csv"
+        assert main(["estimate", str(path), "--functional", "q20", "--epsilon", "0.1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read sample file {path}: ")
+
+    def test_three_input_files(self, capsys, path):
+        argv = ["estimate", path, path, path, "--functional", "q20", "--epsilon", "0.1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: expected one or two input files\n"
+
+    def test_renyi2_prints_its_q20(self, capsys, path):
+        assert main(["estimate", path, "--functional", "renyi2", "--epsilon", "0.2"]) == 0
+        pairs = _kv(capsys)
+        want = estimate_q20([0.1, 0.2, 0.25, 0.9], 0.2)
+        assert pairs["q20"] == repr(want.value)
+        assert pairs["value"] == repr(-math.log(want.value))
+        assert pairs["functional"] == "renyi2"
+
+
+class TestSimulateOutputs:
+    def test_threads_cap_that_is_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QFEST_THREADS", "x")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--preset", "smoke", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: QFEST_THREADS must be an integer, got 'x'\n"
+        assert not out.exists()
+
+    def test_label_names_the_process_column(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--preset", "smoke", "--label", "fig1-pair",
+                     "--out", str(out)]) == 0
+        assert {r["process"] for r in read_csv_rows(out)} == {"fig1-pair"}
+
+    def test_plot_data_writes_one_file_per_estimator(self, tmp_path, capsys):
+        plot = tmp_path / "plot.csv"
+        argv = ["simulate", "--preset", "smoke", "--out", str(tmp_path / "x.csv"),
+                "--plot-data", str(plot)]
+        assert main(argv) == 0
+        names = ["plot-divergence-complete.csv", "plot-divergence-incomplete-log.csv"]
+        assert sorted(p.name for p in tmp_path.glob("plot*")) == names
+        for name in names:
+            assert (tmp_path / name).read_text().splitlines()[0] == "log_n,log_mse,fit_line"
+        assert not plot.exists()
+
+
+class TestRatesInput:
+    @pytest.mark.parametrize("text, message", [
+        ("", "cannot read {path}: empty CSV file"),
+        (CSV_HEADER + "\n", "{path}: no data rows"),
+        (CSV_HEADER + "\nq20-complete,iid,100,1\n",
+         "cannot read {path}: malformed CSV row ['q20-complete', 'iid', '100', '1']"),
+    ], ids=["empty", "header-only", "short-row"])
+    def test_unreadable_summary_is_input_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "rates.csv"
+        path.write_text(text)
+        assert main(["rates", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"

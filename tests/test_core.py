@@ -1009,3 +1009,16 @@ class TestGapIdentities:
             assert count_close_within(x[px], eps) == within
             assert count_close_between(x[::-1], y[::-1], eps) == between
             assert count_close_between(x[px], y[py], eps) == between
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: as_points(np.zeros((2, 2, 2))),
+         "sample must be 1- or 2-dimensional, got shape (2, 2, 2)"),
+        (lambda: as_points(np.zeros((3, 0))), "observations must have at least one coordinate"),
+        (lambda: count_close_within_gap(np.arange(5.0), 0.5, -1),
+         "gap must be a nonnegative integer, got -1"),
+    ], ids=["as_points-3d", "as_points-no-columns", "negative-gap"])
+    def test_message_names_the_argument(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -22,11 +22,13 @@ from qfest.estimators import (
     PairCounts,
     UndefinedEntropyError,
     _count_stack,
+    count_pairs,
     estimate_divergence,
     estimate_q11,
     estimate_q11_incomplete,
     estimate_q20,
     estimate_q20_incomplete,
+    estimate_piece,
     estimate_renyi2,
     evaluate,
     log_gap,
@@ -457,3 +459,18 @@ class TestAsymptoticVariance:
             AsymptoticVariance(sigma2=2.0, m=1, lag_covariances=(1.0, 0.25))
         with pytest.raises(ValueError):
             AsymptoticVariance(sigma2=1.0, m=2, lag_covariances=(1.0,))
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: EstimateConfig(k=2, l=0, epsilon=0.5, variant="x"),
+         "variant must be one of ('complete', 'incomplete'), got 'x'"),
+        (lambda: count_pairs("bogus", np.arange(5.0), None, 0.5),
+         "functional must be one of ('q20', 'q11', 'divergence', 'renyi2'), got 'bogus'"),
+        (lambda: estimate_piece(count_pairs("q20", np.arange(9.0), None, 0.5, "incomplete", 2),
+                                "q20", 5),
+         "no near-lag counts up to gap 5 (counted to 2)"),
+    ], ids=["config-variant", "count_pairs-functional", "estimate_piece-gap"])
+    def test_message_names_the_argument(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -318,6 +318,11 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             fit_loglog((100, 200), (1.0, 0.5))
 
+    def test_requires_one_mse_per_sample_size(self):
+        # unequal lengths once reached np.polyfit and raised its TypeError
+        with pytest.raises(ValueError, match=r"^got 3 sample sizes and 2 mse values$"):
+            fit_loglog([100, 200, 400], [1.0, 2.0])
+
     @pytest.mark.parametrize("ns,message", [
         ((10.7, 20, 40), "sample size must be an integer, got 10.7"),
         ((0, 20, 40), "sample sizes must be positive integers"),
@@ -403,6 +408,17 @@ class TestCsv:
             assert parsed["n"] == row.n
             assert parsed["mse"] == row.mse  # repr round-trips exactly
             assert parsed["seed"] == 7
+
+    def test_numpy_float_constant_writes_the_same_bytes(self, tmp_path):
+        # numpy 2 once wrote the radius as "np.float64(...)", which the
+        # reader could not parse back
+        schedules = [EpsilonSchedule("thm1iii", d=1, c=c) for c in (1.0, np.float64(1.0))]
+        texts = [csv_text(run(_iid_q20_plan(reps=4, schedule=s))) for s in schedules]
+        assert texts[1] == texts[0]
+        path = tmp_path / "out.csv"
+        path.write_text(texts[1])
+        assert [r["epsilon"] for r in read_csv_rows(path)] == [
+            schedules[0].epsilon_at(n) for n in (50, 100, 200)]
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -705,3 +721,21 @@ class TestChunkValues:
             _traced_peak(run, replace(_fig1_plan(reps=reps), ns=(self.N,))) for reps in (4, 40)
         )
         assert many < 1.25 * few
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: GapRule("cube"), "gap rule must be fixed|log|sqrt, got 'cube'"),
+        (lambda: GapRule.fixed(-1), "fixed gap must be nonnegative, got -1"),
+        (lambda: EstimatorSpec("q99"),
+         "functional must be one of ('q20', 'q11', 'divergence', 'renyi2'), got 'q99'"),
+        (lambda: EstimatorSpec("q20", "x"), "variant must be complete|incomplete, got 'x'"),
+        (lambda: EstimatorSpec("q20", "complete", GapRule.log()),
+         "complete variant takes no gap rule"),
+        (lambda: _iid_q20_plan(estimators=()), "plan needs at least one estimator spec"),
+        (lambda: McResult((), "iid", 1, 0, 0.5).rows_for("nope"), "no rows for estimator 'nope'"),
+    ], ids=["gap-rule-kind", "negative-fixed-gap", "spec-functional", "spec-variant",
+            "complete-with-gap-rule", "plan-without-estimators", "rows_for-unknown"])
+    def test_message_names_the_argument(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,6 +1,7 @@
 """Oracle tests: quadrature, closed forms, smoothed targets, long-run variance."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -277,3 +278,17 @@ class TestNaiveLagCounts:
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal lengths"):
             naive_lag_counts([0.0, 1.0, 2.0], [0.0, 1.0], 1.0)
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: true_q(MinExp(), method="x"), "unknown method 'x'"),
+        (lambda: sigma2_oracle(MinExp(), reps=100), "reps=100 too small for 32 batches"),
+        (lambda: sigma2_oracle(MinExp(), (0, 2), reps=200),
+         "functional (0, 2) requires spec_y"),
+        (lambda: sigma2_oracle(MinExp(), (1, 1), reps=200),
+         "functional (1, 1) requires spec_y"),
+    ], ids=["true_q-method", "sigma2-reps", "sigma2-q02-without-y", "sigma2-q11-without-y"])
+    def test_message_names_the_argument(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

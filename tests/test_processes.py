@@ -1,6 +1,7 @@
 """Process-generator tests: marginals, dependence range, ties, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -347,3 +348,15 @@ class TestChildIds:
         assert ids.tolist() == [base.child(4, int(r)).stream for r in reps]
         for k in (0, 1):
             assert _child_ids(ids, k).tolist() == [base.child(4, int(r), k).stream for r in reps]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: NormalMarginal(variance=0), "variance must be finite and > 0, got 0"),
+        (lambda: ExponentialMarginal(rate=0), "rate must be finite and > 0, got 0"),
+        (lambda: UniformMarginal(1, 1), "need lo < hi, got [1, 1]"),
+        (lambda: MinExp(rate=0), "rate must be finite and > 0, got 0"),
+    ], ids=["normal-variance", "exponential-rate", "uniform-bounds", "min-exp-rate"])
+    def test_message_names_the_argument(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
