@@ -7,9 +7,8 @@ divergence and quadratic-entropy estimates.  A Monte Carlo harness verifies
 the mean-square convergence rates against independent oracles.
 """
 
-from .bandwidth import REGIMES, EpsilonSchedule, epsilon_at
+from .bandwidth import REGIMES, EpsilonSchedule
 from .core import (
-    BallVolume,
     as_points,
     ball_volume,
     count_close_between,
@@ -80,7 +79,6 @@ from .processes import (
     UniformMarginal,
     generate,
     paired_generate,
-    true_marginal_density,
 )
 
 __version__ = "0.1.0"

@@ -79,8 +79,3 @@ class EpsilonSchedule:
         if rule is not None:
             return rule(self.alpha, self.d)
         return -1.0
-
-
-def epsilon_at(schedule: EpsilonSchedule, n: int) -> float:
-    """Module-level convenience wrapper for ``schedule.epsilon_at(n)``."""
-    return schedule.epsilon_at(n)

@@ -20,7 +20,6 @@ Processes are selected by compact spec strings, e.g.
 ``product-gauss``, ``max-iid:lo=0:hi=1``, ``bernoulli-shuffle:mean=0:variance=1``,
 ``iid:base=exponential:rate=1``.
 
-The ``QFEST_THREADS`` environment variable caps ``--threads``.
 Exit codes: 0 success, 2 input error, 3 computation error.
 """
 
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -100,10 +98,11 @@ def parse_process(text: str):
     unknown field is reported before the process is built.
     """
     kind, *parts = text.split(":")
+    kind = kind.strip()
     fields: dict[str, str] = {}
     for part in parts:
-        key, eq, value = part.partition("=")
-        if not eq:
+        key, eq, value = (side.strip() for side in part.partition("="))
+        if not eq or not key:
             raise _InputError(f"process spec field {part!r} is not key=value")
         fields[key] = value
     if kind in _BASED:
@@ -136,7 +135,7 @@ def _parse_estimator_tokens(text: str, functional: str) -> tuple[EstimatorSpec, 
         if token == "complete":
             specs.append(EstimatorSpec(functional, "complete"))
             continue
-        head, _, tail = token.partition(":")
+        head, _, tail = (part.strip() for part in token.partition(":"))
         if head != "incomplete":
             raise _InputError(f"unknown estimator token {token!r}")
         if tail in ("", "log"):
@@ -144,7 +143,11 @@ def _parse_estimator_tokens(text: str, functional: str) -> tuple[EstimatorSpec, 
         elif tail == "sqrt":
             rule = GapRule.sqrt()
         elif tail.startswith("fixed="):
-            rule = GapRule.fixed(int(tail.removeprefix("fixed=")))
+            try:
+                gap = int(tail.removeprefix("fixed="))
+            except ValueError:
+                raise _InputError(f"bad gap rule {tail!r} in {token!r}") from None
+            rule = GapRule.fixed(gap)
         else:
             raise _InputError(f"unknown gap rule {tail!r} in {token!r}")
         specs.append(EstimatorSpec(functional, "incomplete", rule))
@@ -244,16 +247,15 @@ _PRESETS = {
 
 _SIMULATE_OPTS = (
     _Opt("preset", _choice(*_PRESETS), help="named reference experiment"),
-    _Opt("process-x", parse_process, help="process spec string"),
+    _Opt("process-x", parse_process, required=True, help="process spec string"),
     _Opt("process-y", parse_process, help="second process spec (two-sample functionals)"),
-    _Opt("functional", _choice(*_PIECES)),
+    _Opt("functional", _choice(*_PIECES), required=True),
     _Opt("estimators", str, default="complete",
          help="comma list of complete|incomplete[:log|:sqrt|:fixed=K]"),
     _Opt("schedule", _choice(*REGIMES), default="thm1iii"),
     _Opt("alpha", float, default=1.0, help="smoothness exponent of the schedule"),
     _Opt("c", _list_of(float), default=(1.0,),
          help="comma list of schedule constants; one output file per value"),
-    _Opt("d", int, default=1, help="dimension used by the schedule"),
     _Opt("n-grid", _list_of(int), default=(100, 200, 400, 700, 1000)),
     _Opt("reps", int, default=1000),
     _Opt("seed", int, default=0),
@@ -261,7 +263,7 @@ _SIMULATE_OPTS = (
     _Opt("label", str, help="process label for the CSV"),
     _Opt("out", str, required=True, help="output CSV path"),
     _Opt("plot-data", str, help="also write log-log plot data here"),
-    _Opt("threads", int, default=1, help="worker processes (capped by QFEST_THREADS)"),
+    _Opt("threads", int, default=1, help="worker processes"),
 )
 
 _RATES_OPTS = (
@@ -453,17 +455,6 @@ def _cmd_truth(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _effective_workers(requested: int) -> int:
-    cap = os.environ.get("QFEST_THREADS")
-    if cap is None:
-        return max(1, requested)
-    try:
-        cap_value = int(cap)
-    except ValueError:
-        raise _InputError(f"QFEST_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(requested, cap_value))
-
-
 def _c_path(path: str, c: float, c_count: int) -> Path:
     """Where the output for schedule constant ``c`` goes, of ``c_count`` constants."""
     path = Path(path)
@@ -472,11 +463,7 @@ def _c_path(path: str, c: float, c_count: int) -> Path:
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
     merged = _merge(ns, _SIMULATE_OPTS)
-    for key in ("process_x", "functional"):
-        if merged[key] is None:
-            raise _InputError(f"missing --{key.replace('_', '-')} (or a --preset)")
     estimators = _parse_estimator_tokens(merged["estimators"], merged["functional"])
-    workers = _effective_workers(merged["threads"])
     c_values = merged["c"]
     if not c_values:
         raise _InputError("--c lists no schedule constant")
@@ -489,9 +476,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         for path in filter(None, (target, plot_base)):
             if path.is_dir() or not path.parent.is_dir():
                 raise _InputError(f"cannot write {path}: it is a directory or its parent is not")
-        schedule = EpsilonSchedule(
-            regime=merged["schedule"], d=merged["d"], alpha=merged["alpha"], c=c,
-        )
+        # every built-in process is scalar, and the plan accepts d = 1 only
+        schedule = EpsilonSchedule(regime=merged["schedule"], d=1, alpha=merged["alpha"], c=c)
         plans[target] = plot_base, ExperimentPlan(
             process_x=merged["process_x"],
             process_y=merged["process_y"],
@@ -504,7 +490,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
             label=merged["label"],
         )
     for target, (plot_base, plan) in plans.items():
-        result = run(plan, workers=workers)
+        result = run(plan, workers=merged["threads"])
         write_csv(result, target)
         _print_kv("wrote", target)
         if plot_base:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,15 +121,6 @@ def _pair_points(x, y) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallVolume:
-    """Volume of a Euclidean ball of radius ``epsilon`` in dimension ``d``."""
-
-    d: int
-    epsilon: float
-    volume: float
-
-
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in dimension d: pi^(d/2) / Gamma(d/2 + 1)."""
     if _check_integer(d, "dimension") < 1:
@@ -138,7 +128,7 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def ball_volume(d: int, epsilon: float) -> BallVolume:
+def ball_volume(d: int, epsilon: float) -> float:
     """Volume of the radius-``epsilon`` ball, ``unit_ball_volume(d) * eps**d``.
 
     A radius whose volume overflows or underflows the float range is rejected.
@@ -152,7 +142,7 @@ def ball_volume(d: int, epsilon: float) -> BallVolume:
         volume = math.inf
     if not 0.0 < volume < math.inf:
         raise ValueError(f"ball volume at d={d}, epsilon={eps!r} is not a positive finite float")
-    return BallVolume(d=int(d), epsilon=eps, volume=volume)
+    return volume
 
 
 # ---------------------------------------------------------------------------

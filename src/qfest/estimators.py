@@ -54,7 +54,6 @@ class UndefinedEntropyError(EstimationError):
     """
 
 
-_VALID_KL = {(2, 0), (1, 1), (0, 2)}
 _VARIANTS = ("complete", "incomplete")
 
 
@@ -79,15 +78,16 @@ class EstimateConfig:
     gap: int | None = None
 
     def __post_init__(self):
-        if (self.k, self.l) not in _VALID_KL:
-            raise ValueError(f"(k, l) must be one of {sorted(_VALID_KL)}, got {(self.k, self.l)}")
+        if (self.k, self.l) not in _KL.values():
+            raise ValueError(f"(k, l) must be one of {sorted(_KL.values())}, got {(self.k, self.l)}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
         if self.variant == "incomplete":
-            if self.gap is None or self.gap < 0:
+            if self.gap is None or core._check_integer(self.gap, "gap") < 0:
                 raise ValueError("incomplete variant requires a nonnegative gap")
+            object.__setattr__(self, "gap", int(self.gap))
         elif self.gap is not None:
             raise ValueError("complete variant takes no gap")
 
@@ -217,7 +217,7 @@ def _normalizer(piece: str, n: int, d: int, eps: float, gap: int | None) -> floa
         pairs = float(n) ** 2 if piece == "q11" else math.comb(n, 2)
     else:
         pairs = (2 if piece == "q11" else 1) * math.comb(n - gap, 2)
-    normalizer = pairs * ball_volume(d, eps).volume
+    normalizer = pairs * ball_volume(d, eps)
     if not 0.0 < normalizer < math.inf:
         raise ValueError(f"normalizer at d={d}, epsilon={eps!r} is not a positive finite float")
     return normalizer

@@ -66,8 +66,6 @@ PLOT_HEADER = "log_n,log_mse,fit_line"
 # chunk: at 2^14 or 2^15 values a fig1 pass ran about 30% slower.
 _CHUNK_VALUES = 2**16
 
-_FUNCTIONALS = tuple(est._PIECES)
-
 
 class FailureRateError(EstimationError, RuntimeError):
     """More than 0.1% of one estimator's replications at one n failed.
@@ -128,8 +126,9 @@ class EstimatorSpec:
     gap_rule: GapRule | None = None
 
     def __post_init__(self):
-        if self.functional not in _FUNCTIONALS:
-            raise ValueError(f"functional must be one of {_FUNCTIONALS}, got {self.functional!r}")
+        if self.functional not in est._PIECES:
+            raise ValueError(f"functional must be one of {tuple(est._PIECES)}, "
+                             f"got {self.functional!r}")
         if self.variant not in ("complete", "incomplete"):
             raise ValueError(f"variant must be complete|incomplete, got {self.variant!r}")
         if self.variant == "incomplete" and self.gap_rule is None:

@@ -38,7 +38,6 @@ from .processes import (
     SeededStream,
     generate,
     paired_generate,
-    true_marginal_density,
 )
 
 
@@ -132,7 +131,7 @@ def _report(q20, q11, q02, method, error_bound) -> TruthReport:
 
 
 def _require_marginal(spec):
-    marginal = true_marginal_density(spec)
+    marginal = spec.marginal()
     if marginal is None:
         raise UnsupportedProcessError(
             f"process {getattr(spec, 'kind', spec)!r} has no closed-form marginal"
@@ -201,8 +200,8 @@ def epsilon_level_target(spec_x, spec_y, epsilon: float, tol: float = 1e-11) -> 
     separation); it converges to q11 as the radius shrinks.  Univariate
     marginals only.
     """
-    ball = ball_volume(1, epsilon)
-    eps = ball.epsilon
+    volume = ball_volume(1, epsilon)
+    eps = float(epsilon)
     mx = _require_marginal(spec_x)
     my = mx if spec_y is None else _require_marginal(spec_y)
     lo, hi = mx.support()
@@ -211,7 +210,7 @@ def epsilon_level_target(spec_x, spec_y, epsilon: float, tol: float = 1e-11) -> 
         return mx.pdf(t) * (my.cdf(t + eps) - my.cdf(t - eps))
 
     prob, _ = adaptive_simpson(integrand, lo, hi, tol)
-    return prob / ball.volume
+    return prob / volume
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,7 @@ def _naive_estimate(x, y, epsilon, variant="complete", gap=None) -> FunctionalEs
     else:
         count = int(lags[g + 1 :].sum())
         pairs = (1 if y is None else 2) * math.comb(n - g, 2)
-    normalizer = pairs * ball_volume(xp.shape[1], eps).volume
+    normalizer = pairs * ball_volume(xp.shape[1], eps)
     config = EstimateConfig(*_KL[piece], eps, variant, g)
     return FunctionalEstimate(count / normalizer, count, normalizer, config)
 

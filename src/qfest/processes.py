@@ -464,8 +464,3 @@ def generate(spec, n: int, stream: SeededStream) -> np.ndarray:
 def paired_generate(spec_x, spec_y, n: int, stream: SeededStream):
     """Generate two samples of length n from independent substreams."""
     return generate(spec_x, n, stream.child(0)), generate(spec_y, n, stream.child(1))
-
-
-def true_marginal_density(spec):
-    """Closed-form marginal law of the process, or None when there is none."""
-    return spec.marginal()

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qfest.bandwidth import REGIMES, EpsilonSchedule, epsilon_at
+from qfest.bandwidth import REGIMES, EpsilonSchedule
 
 
 class TestRuleValues:
@@ -24,10 +24,6 @@ class TestRuleValues:
     def test_thm2iii_log_over_sqrt(self):
         sched = EpsilonSchedule("thm2iii", d=1, alpha=0.8, c=1.5)
         assert sched.epsilon_at(400) == pytest.approx(1.5 * math.log(400.0) / 20.0, rel=1e-12)
-
-    def test_module_level_wrapper(self):
-        sched = EpsilonSchedule("thm1iii", d=2, alpha=1.0, c=0.5)
-        assert epsilon_at(sched, 50) == sched.epsilon_at(50)
 
     def test_rejects_small_n(self):
         sched = EpsilonSchedule("thm1iii", d=1, alpha=1.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfest import cli
+from qfest import cli, montecarlo
 from qfest.bandwidth import EpsilonSchedule
 from qfest.cli import main, parse_process
 from qfest.estimators import estimate_q20, estimate_q20_incomplete
@@ -20,6 +20,7 @@ from qfest.montecarlo import (
 )
 from qfest.processes import (
     BernoulliShuffle,
+    ExponentialMarginal,
     GaussianMA,
     Iid,
     MaxIid,
@@ -85,6 +86,15 @@ class TestParseProcess:
         sample = np.loadtxt(out, delimiter=",", ndmin=2)
         assert np.array_equal(sample, generate(want, 30, SeededStream(2)))
 
+    @pytest.mark.parametrize("text, want", [
+        ("iid: base=normal", Iid(NormalMarginal())),
+        ("iid:base= normal", Iid(NormalMarginal())),
+        (" iid : base = exponential : rate = 2 ", Iid(ExponentialMarginal(2.0))),
+        ("gaussian-ma: taps = 0.5|-0.5|0.5 :shift=1 ", GaussianMA((0.5, -0.5, 0.5), shift=1.0)),
+    ], ids=["key", "value", "every-field", "taps"])
+    def test_spaces_around_kind_keys_and_values_are_stripped(self, text, want):
+        assert parse_process(text) == want
+
     @pytest.mark.parametrize("text, message", [
         ("gaussian-ma:noeq", "process spec field 'noeq' is not key=value"),
         ("iid:base=cauchy", "unknown base distribution 'cauchy'"),
@@ -96,8 +106,11 @@ class TestParseProcess:
         ("max-iid:base=uniform", "unknown max-iid parameters: base"),
         ("bernoulli-shuffle:rate=1", "unknown bernoulli-shuffle parameters: rate"),
         ("iid:base=exponential:mean=0", "unknown iid parameters: mean"),
+        ("product-gauss:=", "process spec field '=' is not key=value"),
+        ("iid: =normal", "process spec field ' =normal' is not key=value"),
     ], ids=["no-equals", "unknown-base", "bad-value", "gaussian-ma-field", "min-exp-field",
-            "product-gauss-field", "max-iid-field", "bernoulli-shuffle-field", "iid-field"])
+            "product-gauss-field", "max-iid-field", "bernoulli-shuffle-field", "iid-field",
+            "empty-key", "blank-key"])
     def test_spec_error_exits_two_with_its_message(self, tmp_path, capsys, text, message):
         out = tmp_path / "sample.csv"
         assert main(["generate", "--process", text, "--n", "5", "--out", str(out)]) == 2
@@ -269,23 +282,43 @@ class TestSimulate:
         assert (tmp_path / "sweep-c1.csv").exists()
 
     def test_schedule_dimension_of_a_scalar_process_is_input_error(self, tmp_path, capsys):
+        # the schedule's dimension is the processes' d = 1; neither layer can set it
         out = tmp_path / "smoke.csv"
         assert main(["simulate", "--preset", "smoke", "--d", "3", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "d=3" in err and "d=1" in err
-        assert not out.exists()
+        assert "unrecognized arguments: --d 3" in capsys.readouterr().err
+        config = tmp_path / "run.conf"
+        config.write_text("d=3\n")
+        argv = ["simulate", "--preset", "smoke", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown config key 'd'\n"
+        assert sorted(tmp_path.iterdir()) == [config]
 
     def test_missing_plan_is_input_error(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_threads_env_cap(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QFEST_THREADS", "1")
-        out = tmp_path / "t.csv"
-        code = main(
-            ["simulate", "--process-x", "iid:base=normal", "--functional", "q20",
-             "--n-grid", "20,40", "--reps", "4", "--threads", "8", "--out", str(out)]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("given, missing", [
+        ((), "process-x"),
+        (("--functional", "q20"), "process-x"),
+        (("--process-x", "min-exp"), "functional"),
+    ], ids=["neither", "no-process", "no-functional"])
+    def test_missing_required_option_is_named(self, tmp_path, capsys, given, missing):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: missing required option --{missing}\n"
+        assert not out.exists()
+
+    def test_threads_below_two_run_serially(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", refuse)
+        texts = set()
+        for threads in ("1", "0", "-3"):
+            out = tmp_path / f"t{threads}.csv"
+            argv = ["simulate", "--preset", "smoke", "--threads", threads, "--out", str(out)]
+            assert main(argv) == 0
+            texts.add(out.read_text())
+        assert len(texts) == 1
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
@@ -641,7 +674,11 @@ class TestEstimatorTokens:
         ("bogus", "unknown estimator token 'bogus'"),
         ("incomplete:cube", "unknown gap rule 'cube' in 'incomplete:cube'"),
         (",", "estimator list is empty"),
-    ], ids=["unknown-token", "unknown-gap-rule", "empty-list"])
+        ("incomplete:fixed=1.5", "bad gap rule 'fixed=1.5' in 'incomplete:fixed=1.5'"),
+        ("incomplete:fixed=", "bad gap rule 'fixed=' in 'incomplete:fixed='"),
+        ("incomplete: fixed=x ", "bad gap rule 'fixed=x' in 'incomplete: fixed=x'"),
+    ], ids=["unknown-token", "unknown-gap-rule", "empty-list", "fractional-gap", "empty-gap",
+            "spaced-gap"])
     def test_bad_list_is_input_error(self, tmp_path, capsys, tokens, message):
         out = tmp_path / "x.csv"
         argv = ["simulate", "--preset", "smoke", "--estimators", tokens, "--out", str(out)]
@@ -657,6 +694,13 @@ class TestEstimatorTokens:
         labels = [r["estimator"] for r in read_csv_rows(out)]
         assert list(dict.fromkeys(labels)) == ["divergence-complete",
                                                "divergence-incomplete-log"]
+
+    @pytest.mark.parametrize("token", ["incomplete: log", "incomplete :log", "incomplete : log"])
+    def test_spaces_around_the_gap_rule_are_stripped(self, tmp_path, capsys, token):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--preset", "smoke", "--estimators", token, "--out", str(out)]
+        assert main(argv) == 0
+        assert {r["estimator"] for r in read_csv_rows(out)} == {"divergence-incomplete-log"}
 
 
 class TestClamp:
@@ -738,13 +782,6 @@ class TestEstimateArguments:
 
 
 class TestSimulateOutputs:
-    def test_threads_cap_that_is_not_an_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QFEST_THREADS", "x")
-        out = tmp_path / "x.csv"
-        assert main(["simulate", "--preset", "smoke", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: QFEST_THREADS must be an integer, got 'x'\n"
-        assert not out.exists()
-
     def test_label_names_the_process_column(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["simulate", "--preset", "smoke", "--label", "fig1-pair",

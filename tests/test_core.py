@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from qfest import core, oracle
 from qfest.bandwidth import EpsilonSchedule
 from qfest.core import (
-    BallVolume,
     as_points,
     ball_volume,
     count_close_between,
@@ -32,32 +31,50 @@ from qfest.processes import MinExp, SeededStream, generate
 
 class TestBallVolume:
     def test_interval(self):
-        assert ball_volume(1, 0.5).volume == pytest.approx(1.0, rel=1e-14)
+        assert ball_volume(1, 0.5) == pytest.approx(1.0, rel=1e-14)
 
     def test_unit_disc(self):
-        assert ball_volume(2, 1.0).volume == pytest.approx(math.pi, rel=1e-14)
+        assert ball_volume(2, 1.0) == pytest.approx(math.pi, rel=1e-14)
 
     def test_sphere_radius_two(self):
-        assert ball_volume(3, 2.0).volume == pytest.approx(4.0 / 3.0 * math.pi * 8.0, rel=1e-14)
+        assert ball_volume(3, 2.0) == pytest.approx(4.0 / 3.0 * math.pi * 8.0, rel=1e-14)
 
     def test_fields(self):
-        bv = ball_volume(4, 0.25)
-        assert bv == BallVolume(4, 0.25, unit_ball_volume(4) * 0.25**4)
+        assert ball_volume(4, 0.25) == unit_ball_volume(4) * 0.25**4
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_is_the_unit_volume_times_the_radius_power(self, d):
+        for eps in (1e-3, 0.1, 0.25, 0.5, 1.0, 1.7, 3.0):
+            assert type(ball_volume(d, eps)) is float
+            assert ball_volume(d, eps) == unit_ball_volume(d) * eps**d
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_doubling_ratio(self, d):
-        ratio = ball_volume(d, 0.4).volume / ball_volume(d, 0.2).volume
+        ratio = ball_volume(d, 0.4) / ball_volume(d, 0.2)
         assert ratio == pytest.approx(2.0**d, rel=1e-12)
 
     def test_monotone_in_radius(self):
         eps = np.linspace(0.1, 2.0, 25)
-        vols = [ball_volume(3, e).volume for e in eps]
+        vols = [ball_volume(3, e) for e in eps]
         assert all(a < b for a, b in zip(vols, vols[1:]))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_radius(self, bad):
         with pytest.raises(ValueError):
             ball_volume(2, bad)
+
+    @pytest.mark.parametrize(("d", "eps", "message"), [
+        (2, 0.0, "radius must be finite and > 0, got 0.0"),
+        (2, -1, "radius must be finite and > 0, got -1"),
+        (1, float("nan"), "radius must be finite and > 0, got nan"),
+        (3, float("inf"), "radius must be finite and > 0, got inf"),
+        (2, 1e200, "ball volume at d=2, epsilon=1e+200 is not a positive finite float"),
+        (0, 0.5, "dimension must be a positive integer, got 0"),
+        (1.5, 0.5, "dimension must be an integer, got 1.5"),
+    ])
+    def test_rejection_messages(self, d, eps, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ball_volume(d, eps)
 
     @pytest.mark.parametrize(("d", "eps"), [(2, 1e200), (3, 1e-110)], ids=["overflow", "underflow"])
     def test_rejects_a_volume_beyond_the_float_range(self, d, eps):

@@ -470,7 +470,17 @@ class TestArgumentErrors:
         (lambda: estimate_piece(count_pairs("q20", np.arange(9.0), None, 0.5, "incomplete", 2),
                                 "q20", 5),
          "no near-lag counts up to gap 5 (counted to 2)"),
-    ], ids=["config-variant", "count_pairs-functional", "estimate_piece-gap"])
+        (lambda: EstimateConfig(2, 0, 0.5, "incomplete", 2.5), "gap must be an integer, got 2.5"),
+        (lambda: EstimateConfig(2, 0, 0.5, "incomplete", math.nan),
+         "gap must be an integer, got nan"),
+        (lambda: EstimateConfig(2, 0, 0.5, "incomplete", math.inf),
+         "gap must be an integer, got inf"),
+    ], ids=["config-variant", "count_pairs-functional", "estimate_piece-gap", "config-gap-fraction",
+            "config-gap-nan", "config-gap-inf"])
     def test_message_names_the_argument(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_config_stores_an_integral_gap_as_an_int(self):
+        gap = EstimateConfig(2, 0, 0.5, "incomplete", 3.0).gap
+        assert gap == 3 and type(gap) is int

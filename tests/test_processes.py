@@ -24,7 +24,6 @@ from qfest.processes import (
     _generate_stack,
     generate,
     paired_generate,
-    true_marginal_density,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -103,35 +102,35 @@ class TestSpecValidation:
 
 class TestMarginals:
     def test_gaussian_ma_standard_normal(self):
-        marg = true_marginal_density(GaussianMA(taps=(1 / SQ3,) * 3))
+        marg = GaussianMA(taps=(1 / SQ3,) * 3).marginal()
         assert isinstance(marg, NormalMarginal)
         assert marg.mean == 0.0
         assert marg.variance == pytest.approx(1.0, rel=1e-12)
 
     def test_gaussian_ma_shifted(self):
-        marg = true_marginal_density(GaussianMA(taps=(0.5, -0.5, 0.5), shift=1.0))
+        marg = GaussianMA(taps=(0.5, -0.5, 0.5), shift=1.0).marginal()
         assert marg.mean == 1.0
         assert marg.variance == pytest.approx(0.75, rel=1e-12)
 
     def test_min_exp_rate_sums(self):
-        marg = true_marginal_density(MinExp(rate=1.0 / 3.0, window=3))
+        marg = MinExp(rate=1.0 / 3.0, window=3).marginal()
         assert isinstance(marg, ExponentialMarginal)
         assert marg.rate == pytest.approx(1.0, rel=1e-12)
         assert marg.pdf(2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_max_iid_uniform_density(self):
-        marg = true_marginal_density(MaxIid())
+        marg = MaxIid().marginal()
         assert isinstance(marg, MaxOfPairMarginal)
         for x in (0.1, 0.5, 0.9):
             assert marg.pdf(x) == pytest.approx(2.0 * x, rel=1e-12)
             assert marg.cdf(x) == pytest.approx(x * x, rel=1e-12)
 
     def test_product_gauss_has_no_closed_form(self):
-        assert true_marginal_density(ProductGauss()) is None
+        assert ProductGauss().marginal() is None
 
     def test_bernoulli_shuffle_keeps_base(self):
         base = NormalMarginal(2.0, 4.0)
-        assert true_marginal_density(BernoulliShuffle(base=base)) is base
+        assert BernoulliShuffle(base=base).marginal() is base
 
     def test_normal_cdf_vectorized(self):
         marg = NormalMarginal(0.0, 1.0)
@@ -219,7 +218,7 @@ class TestStationaryStart:
         firsts = np.array(
             [generate(spec, 1, base.child(r))[0, 0] for r in range(self.STREAMS)]
         )
-        marginal = true_marginal_density(spec)
+        marginal = spec.marginal()
         result = scipy.stats.kstest(firsts, marginal.cdf)
         assert result.pvalue > 0.01
 

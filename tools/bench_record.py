@@ -17,9 +17,17 @@ and side, the median and quartiles of ``iter_s``, ``peak_rss_mb`` and
 ``two_workers_s``, ``estimate_s`` and ``reps_per_s.1w``), with every run's
 value (``null`` for a run that reported none, so the pairs stay aligned),
 whether every run checked out, and how many
-pairs the head won on ``iter_s``; and, per side, the git sha, the hash of its
-``src`` tree and the line count of each ``src/qfest/*.py``, as ``wc -l``
-gives it; and the CPU count and the Python and numpy versions."""
+pairs the head won on ``iter_s``.  Each run's process is also timed from
+outside: ``wall_s`` is its wall time and ``cpu_s`` the user plus system
+seconds it and its waited-for children used (the ``RUSAGE_CHILDREN`` delta
+around it).  Both are summarized like the metrics, with each one's quartile
+distance over its median in ``rel_spread`` and the one that spread less in
+``steadier``: when the wall time spreads and the CPU time does not, the
+machine's load moved, not the code.  Per side the file holds the git sha,
+the hash of its ``src`` tree, the line count of each ``src/qfest/*.py`` as
+``wc -l`` gives it, and one run of the tier-1 test command in that side's
+checkout (its exit code, the counts of its summary line and its wall time);
+and the CPU count and the Python and numpy versions."""
 
 from __future__ import annotations
 
@@ -28,21 +36,29 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mc-fig1", "estimate-d1", "estimate-grid")
 METRICS = ("iter_s", "peak_rss_mb", "setup_s")
+# measured around each run's process, not reported by it
+PROCESS_METRICS = ("wall_s", "cpu_s")
 SEED = 0
 PAIRS = 10
 # an informational line of ``perfbench/run.py``: name, value, unit
 INFO = re.compile(r"^\s+(\S+)\s+(\S+)\s+\S+ \(informational\)$")
+# the tier-1 test command, run with the checkout's ``src`` first on PYTHONPATH
+TIER1 = (sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors")
+# a count of pytest's summary line, such as "597 passed" or "2 failed"
+TIER1_COUNT = re.compile(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed|deselected)\b")
 
 
 def git(*args: str) -> str:
@@ -63,11 +79,34 @@ def extract(rev: str, into: Path) -> dict:
             "src_qfest_lines": {**lines, "total": sum(lines.values())}}
 
 
+def timed(args, **kwargs):
+    """``subprocess.run(args)``, its wall seconds, and the CPU seconds of it and its children."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = perf_counter()
+    proc = subprocess.run(args, capture_output=True, text=True, **kwargs)
+    wall = perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return proc, wall, cpu
+
+
+def tier1(checkout: Path) -> dict:
+    """One run of the tier-1 tests in ``checkout``: exit code, summary counts and wall time."""
+    path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
+    proc, wall, _ = timed(TIER1, cwd=checkout, env={**os.environ, "PYTHONPATH": path})
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    return {"command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",
+            "exit": proc.returncode,
+            "counts": {kind: int(count) for count, kind in TIER1_COUNT.findall(last)},
+            "wall_s": wall}
+
+
 def run_once(checkout: Path, workload: str) -> dict:
-    """One ``perfbench/run.py`` process on one workload: its final JSON line and informational lines."""
-    proc = subprocess.run(
+    """One ``perfbench/run.py`` process on one workload: its final JSON line and informational
+    lines, and the process's wall and CPU seconds."""
+    proc, wall, cpu = timed(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED)],
-        cwd=checkout, capture_output=True, text=True,
+        cwd=checkout,
     )
     lines = proc.stdout.strip().splitlines()
     try:
@@ -76,6 +115,7 @@ def run_once(checkout: Path, workload: str) -> dict:
         result = {"correct": False, "metrics": {}}
     result["exit"] = proc.returncode
     result["info"] = {m[1]: float(m[2]) for m in map(INFO.match, lines) if m}
+    result["wall_s"], result["cpu_s"] = wall, cpu
     return result
 
 
@@ -88,6 +128,11 @@ def summary(runs: list[float | None]) -> dict:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values) if values else None, "q1": q1, "q3": q3,
             "runs": runs}
+
+
+def rel_spread(entry: dict) -> float:
+    """The quartile distance of a summary over its median."""
+    return (entry["q3"] - entry["q1"]) / entry["median"]
 
 
 def main(argv=None) -> int:
@@ -104,6 +149,9 @@ def main(argv=None) -> int:
             encoding="utf-8"))["run_seconds"] for side in sides}
         if seconds["base"] != seconds["head"]:
             parser.error(f"the two commits run for different lengths: {seconds}")
+        for side in sides:
+            meta[side]["tier1"] = tier1(checkouts[side])
+            print(f"tier-1 {side:<4} {meta[side]['tier1']}", flush=True)
         runs = {w: {side: [] for side in sides} for w in WORKLOADS}
         for pair in range(PAIRS):
             for w in WORKLOADS:
@@ -112,6 +160,7 @@ def main(argv=None) -> int:
                     runs[w][side].append(result)
                     iter_s = result["metrics"].get("iter_s", {}).get("value")
                     print(f"pair {pair} {w:<14} {side:<4} iter_s {iter_s} "
+                          f"wall_s {result['wall_s']:.2f} cpu_s {result['cpu_s']:.2f} "
                           f"correct {result['correct']}", flush=True)
     record = {
         "seed": SEED, "pairs": PAIRS, "seconds": seconds["head"],
@@ -127,6 +176,11 @@ def main(argv=None) -> int:
             names = dict.fromkeys(k for r in by_side[side] for k in r["info"])
             entry[side]["info"] = {k: summary([r["info"].get(k) for r in by_side[side]])
                                    for k in names}
+            for m in PROCESS_METRICS:
+                entry[side][m] = summary([r[m] for r in by_side[side]])
+            spread = {m: rel_spread(entry[side][m]) for m in PROCESS_METRICS}
+            entry[side]["rel_spread"] = spread
+            entry[side]["steadier"] = min(PROCESS_METRICS, key=spread.get)
         entry["correct"] = all(r["correct"] and r["exit"] == 0
                                for side in sides for r in by_side[side])
         base, head = (entry[side]["iter_s"]["runs"] for side in sides)
