@@ -21,7 +21,6 @@ from .core import (
 )
 from .estimators import (
     AsymptoticVariance,
-    EstimateConfig,
     EstimationError,
     FunctionalEstimate,
     InsufficientDataError,

@@ -35,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .bandwidth import REGIMES, EpsilonSchedule
-from .estimators import _PIECES, EstimationError, _single_value, count_pairs, estimate_piece
+from .estimators import _PIECES, _VARIANTS, EstimationError, _single_value
+from .estimators import count_pairs, estimate_piece
 from .montecarlo import (
     EstimatorSpec,
     ExperimentPlan,
@@ -94,8 +95,8 @@ _BASED = {"max-iid": (MaxIid, "uniform"), "bernoulli-shuffle": (BernoulliShuffle
 def parse_process(text: str):
     """Build a process from a compact ``kind:key=value:...`` spec string.
 
-    Every field is converted before an unknown field is reported, and an
-    unknown field is reported before the process is built.
+    A field may appear once.  Every field is converted before an unknown field
+    is reported, and an unknown field is reported before the process is built.
     """
     kind, *parts = text.split(":")
     kind = kind.strip()
@@ -104,6 +105,8 @@ def parse_process(text: str):
         key, eq, value = (side.strip() for side in part.partition("="))
         if not eq or not key:
             raise _InputError(f"process spec field {part!r} is not key=value")
+        if key in fields:
+            raise _InputError(f"process spec {text!r} repeats field {key!r}")
         fields[key] = value
     if kind in _BASED:
         process, base = _BASED[kind]
@@ -204,7 +207,7 @@ _ESTIMATE_OPTS = (
     _Opt("functional", _choice("q20", "q02", "q11", "divergence", "renyi2"),
          required=True, help="which functional to estimate"),
     _Opt("epsilon", float, required=True, help="close-pair radius (> 0)"),
-    _Opt("variant", _choice("complete", "incomplete"), default="complete"),
+    _Opt("variant", _choice(*_VARIANTS), default="complete"),
     _Opt("gap", int, help="index-separation gap for the incomplete variant "
                           "(default: floor(log n))"),
     _Opt("clamp", _to_bool, default=False, flag=True,
@@ -511,7 +514,7 @@ def _cmd_rates(ns: argparse.Namespace) -> int:
     for label in dict.fromkeys(row["estimator"] for row in rows):
         sub = [r for r in rows if r["estimator"] == label]
         try:
-            fit = fit_loglog([r["n"] for r in sub], [r["mse"] for r in sub], label)
+            fit = fit_loglog([r["n"] for r in sub], [r["mse"] for r in sub])
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
         _print_kv("estimator", label)

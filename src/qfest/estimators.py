@@ -22,8 +22,8 @@ The pieces of a functional are counted together, by one call of the
 counting kernel per record, so a sample shared by two pieces (x in q20 and
 q11, y in q11 and q02) is sorted once.  The Monte Carlo harness evaluates a
 chunk of replications as one record.  A library sample is a stack of one,
-checked once by ``_validated``, and its ``FunctionalEstimate`` or
-``UndefinedEntropyError`` is built from row 0.
+checked once by ``_validated``; its ``FunctionalEstimate`` (value, count,
+normalizer and resolved gap) or ``UndefinedEntropyError`` comes from row 0.
 """
 
 from __future__ import annotations
@@ -68,66 +68,35 @@ def sqrt_gap(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class EstimateConfig:
-    """Functional selector (k, l), radius, variant, and gap of one estimate."""
-
-    k: int
-    l: int
-    epsilon: float
-    variant: str = "complete"
-    gap: int | None = None
-
-    def __post_init__(self):
-        if (self.k, self.l) not in _KL.values():
-            raise ValueError(f"(k, l) must be one of {sorted(_KL.values())}, got {(self.k, self.l)}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
-        if self.variant == "incomplete":
-            if self.gap is None or core._check_integer(self.gap, "gap") < 0:
-                raise ValueError("incomplete variant requires a nonnegative gap")
-            object.__setattr__(self, "gap", int(self.gap))
-        elif self.gap is not None:
-            raise ValueError("complete variant takes no gap")
-
-
-@dataclass(frozen=True)
 class FunctionalEstimate:
-    """A point estimate together with the count and normalizer behind it."""
+    """A point estimate, the count and normalizer behind it, and its gap (None if complete)."""
 
     value: float
     raw_count: int
     normalizer: float
-    config: EstimateConfig
+    gap: int | None
 
 
 @dataclass(frozen=True)
 class AsymptoticVariance:
     """Long-run variance of the projected kernel of a dependent sample.
 
-    ``sigma2`` is the lag-0 variance plus twice the lag-1..m covariances; it
-    is the constant in the 4*sigma2/n limit of the estimators' mean squared
-    error.  ``lag_covariances[h]`` stores the lag-h term, so
-    ``sigma2 == lag_covariances[0] + 2 * sum(lag_covariances[1:])``.
+    ``lag_covariances[h]`` is the lag-h covariance for h = 0..m.  ``sigma2``
+    is the lag-0 variance plus twice the lag-1..m covariances; it is the
+    constant in the 4*sigma2/n limit of the estimators' mean squared error.
     ``se`` is the standard error of a Monte Carlo evaluation, when known.
     """
 
-    sigma2: float
-    m: int
     lag_covariances: tuple[float, ...]
     se: float | None = None
 
-    def __post_init__(self):
-        if len(self.lag_covariances) != self.m + 1:
-            raise ValueError(
-                f"expected {self.m + 1} lag covariances, got {len(self.lag_covariances)}"
-            )
-        combined = self.lag_covariances[0] + 2.0 * sum(self.lag_covariances[1:])
-        if not math.isclose(combined, self.sigma2, rel_tol=1e-9, abs_tol=1e-15):
-            raise ValueError(
-                f"sigma2={self.sigma2} inconsistent with lag covariances (sum {combined})"
-            )
+    @property
+    def m(self) -> int:
+        return len(self.lag_covariances) - 1
+
+    @property
+    def sigma2(self) -> float:
+        return self.lag_covariances[0] + 2.0 * sum(self.lag_covariances[1:])
 
 
 # The pieces each functional is computed from: q20 counts pairs within x, q02
@@ -138,7 +107,6 @@ _PIECES = {
     "divergence": ("q11", "q20", "q02"),
     "renyi2": ("q20",),
 }
-_KL = {"q20": (2, 0), "q11": (1, 1), "q02": (0, 2)}
 
 
 @dataclass(frozen=True)
@@ -166,8 +134,8 @@ def _validated(functional, x, y, epsilon, variant="complete", gap=None):
 
     ``functional`` is q20, q11, divergence or renyi2; ``y`` is the second
     sample of q11 and divergence.  An incomplete estimate's integer gap
-    defaults to floor(log n).  ``EstimateConfig`` checks the radius, variant
-    and gap, ``_normalizer`` every piece's normalizer.  The ``oracle.naive_q*``
+    defaults to floor(log n).  The radius, variant and gap are checked here,
+    every piece's normalizer by ``_normalizer``.  The ``oracle.naive_q*``
     references share this one rule.
     """
     if functional not in _PIECES:
@@ -182,7 +150,15 @@ def _validated(functional, x, y, epsilon, variant="complete", gap=None):
         g = log_gap(n) if g is None else g
         if g >= n - 1:
             raise InsufficientDataError(f"gap {g} leaves no index pairs for n={n}")
-    eps = EstimateConfig(*_KL[pieces[0]], float(epsilon), variant, g).epsilon
+    eps = float(epsilon)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"epsilon must be finite and > 0, got {eps!r}")
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    if variant == "incomplete" and g < 0:
+        raise ValueError("incomplete variant requires a nonnegative gap")
+    if variant == "complete" and g is not None:
+        raise ValueError("complete variant takes no gap")
     for piece in pieces:
         _normalizer(piece, n, d, eps, g)
     return xp, yp, eps, g
@@ -236,10 +212,8 @@ def _piece_counts(counts: PairCounts, piece: str, gap: int | None):
 def estimate_piece(counts: PairCounts, piece: str, gap: int | None = None) -> FunctionalEstimate:
     """The q20, q11 or q02 estimate of row 0 of a count record; gap None is the complete variant."""
     count, normalizer = _piece_counts(counts, piece, gap)
-    variant = "complete" if gap is None else "incomplete"
-    config = EstimateConfig(*_KL[piece], counts.epsilon, variant, gap)
     raw_count = int(count[0])
-    return FunctionalEstimate(raw_count / normalizer, raw_count, normalizer, config)
+    return FunctionalEstimate(raw_count / normalizer, raw_count, normalizer, gap)
 
 
 def evaluate(

@@ -129,12 +129,15 @@ class EstimatorSpec:
         if self.functional not in est._PIECES:
             raise ValueError(f"functional must be one of {tuple(est._PIECES)}, "
                              f"got {self.functional!r}")
-        if self.variant not in ("complete", "incomplete"):
-            raise ValueError(f"variant must be complete|incomplete, got {self.variant!r}")
+        if self.variant not in est._VARIANTS:
+            raise ValueError(f"variant must be {'|'.join(est._VARIANTS)}, got {self.variant!r}")
         if self.variant == "incomplete" and self.gap_rule is None:
             object.__setattr__(self, "gap_rule", GapRule.log())
         if self.variant == "complete" and self.gap_rule is not None:
             raise ValueError("complete variant takes no gap rule")
+
+    def gap_at(self, n: int) -> int | None:
+        return None if self.variant == "complete" else self.gap_rule.at(n)
 
     @property
     def two_sample(self) -> bool:
@@ -187,7 +190,7 @@ class ExperimentPlan:
         # every grid point's gap and radius are checked before any replication runs
         for e in self.estimators:
             for n in self.ns:
-                gap = None if e.variant == "complete" else e.gap_rule.at(n)
+                gap = e.gap_at(n)
                 if gap is not None and gap >= n - 1:
                     raise ValueError(
                         f"gap rule {e.gap_rule.label} gives gap {gap} >= n-1 at n={n}"
@@ -257,7 +260,6 @@ class SlopeFit:
     intercept: float
     residual_rms: float
     n_range: tuple[int, int]
-    estimator: str = ""
 
 
 @dataclass(frozen=True)
@@ -289,7 +291,7 @@ def _eval_chunk(plan: ExperimentPlan, gi: int, n: int, eps: float, r0: int, r1: 
     piece is counted once over the whole stack, to the largest gap any
     estimator asks for, and each estimator is evaluated on all rows at once.
     """
-    gaps = [e.gap_rule.at(n) if e.variant == "incomplete" else None for e in plan.estimators]
+    gaps = [e.gap_at(n) for e in plan.estimators]
     max_gap = max((g for g in gaps if g is not None), default=None)
     ids = _child_ids(SeededStream(plan.seed).stream, gi, np.arange(r0, r1))
     if plan.process_y is not None:
@@ -380,7 +382,7 @@ def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
     rows = []
     for e_i, spec in enumerate(plan.estimators):
         for gi, n in enumerate(plan.ns):
-            gap = spec.gap_rule.at(n) if spec.variant == "incomplete" else 0
+            gap = spec.gap_at(n) or 0  # a complete row is written with gap 0
             rows.append(
                 _aggregate(plan, spec.label, gi, n, eps_at[n], gap, values[gi][e_i], truth)
             )
@@ -395,7 +397,7 @@ def run(plan: ExperimentPlan, workers: int = 1) -> McResult:
 # ---------------------------------------------------------------------------
 
 
-def fit_loglog(ns, mses, estimator: str = "") -> SlopeFit:
+def fit_loglog(ns, mses) -> SlopeFit:
     """Least-squares slope of log(mse) against log(n).
 
     Raises ``ValueError`` unless there is one mse per sample size, at least
@@ -424,7 +426,6 @@ def fit_loglog(ns, mses, estimator: str = "") -> SlopeFit:
         intercept=float(intercept),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         n_range=(min(ns), max(ns)),
-        estimator=estimator,
     )
 
 
@@ -441,7 +442,7 @@ def fit_slope(result: McResult, estimator: str | None = None) -> SlopeFit:
     """Fit the convergence slope of one estimator's rows."""
     label = _pick_estimator(result, estimator)
     rows = result.rows_for(label)
-    return fit_loglog([r.n for r in rows], [r.mse for r in rows], estimator=label)
+    return fit_loglog([r.n for r in rows], [r.mse for r in rows])
 
 
 def nmse_limit_check(

@@ -3,12 +3,12 @@
 Three kinds of oracle live here:
 
 * ``true_q`` / ``epsilon_level_target``: the target integrals, by closed form
-  where the marginal family admits one and by adaptive Simpson quadrature
-  over a truncated domain otherwise.
+  where the marginal family admits one and otherwise by adaptive Simpson
+  quadrature over a truncated domain, to the fixed tolerance ``_TOL``.
 * ``sigma2_oracle``: Monte Carlo evaluation of the long-run variance constant
   that appears in the 4*sigma2/n mean-square limit.  Known densities are
-  evaluated on simulated paths; analytic lag covariances exist only
-  case by case, while this route is uniform and its error is quantifiable.
+  evaluated on simulated paths; analytic lag covariances exist only case by
+  case, while this route is uniform, with a standard error from batch means.
 * ``naive_lag_counts``: the one brute-force reference for every close-pair
   count, O(n^2) one row at a time, resolved by index lag; the ``naive_q*``
   references normalise its sums after the estimators' checks.  It shares
@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_integer, _check_radius, _pair_points, as_points, ball_volume
-from .estimators import (
-    AsymptoticVariance,
-    EstimateConfig,
-    EstimationError,
-    FunctionalEstimate,
-    _KL,
-    _validated,
-)
+from .estimators import AsymptoticVariance, EstimationError, FunctionalEstimate, _validated
 from .processes import (
     ExponentialMarginal,
     NormalMarginal,
@@ -45,31 +38,37 @@ class UnsupportedProcessError(EstimationError):
     """The process has no closed-form marginal, so no truth can be produced."""
 
 
+# The quadrature's tolerance and depth limit, and sigma2_oracle's batch count.
+_TOL = 1e-11
+_MAX_DEPTH = 48
+_BATCHES = 32
+
+
 # ---------------------------------------------------------------------------
 # Adaptive Simpson quadrature
 # ---------------------------------------------------------------------------
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11, max_depth: int = 48):
+def adaptive_simpson(f, a: float, b: float):
     """Integrate ``f`` over [a, b] by adaptive Simpson with Richardson extrapolation.
 
     Returns (value, error_estimate).  Interval halving stops once the local
-    Richardson error estimate is below the (per-interval) tolerance or the
-    depth limit is hit; the returned error estimate is the sum of the local
-    ones and is usually conservative for smooth integrands.
+    Richardson error estimate is below the interval's share of ``_TOL`` or
+    after ``_MAX_DEPTH`` halvings; the returned error estimate is the sum of
+    the local ones and is usually conservative for smooth integrands.
     """
     a = float(a)
     b = float(b)
     if a == b:
         return 0.0, 0.0
     if a > b:
-        value, err = adaptive_simpson(f, b, a, tol, max_depth)
+        value, err = adaptive_simpson(f, b, a)
         return -value, err
     fa, fb = f(a), f(b)
     mid = 0.5 * (a + b)
     fm = f(mid)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_branch(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_branch(f, a, b, fa, fm, fb, whole, _TOL, _MAX_DEPTH)
 
 
 def _simpson_branch(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -95,20 +94,22 @@ def _simpson_branch(f, a, b, fa, fm, fb, whole, tol, depth):
 
 @dataclass(frozen=True)
 class TruthReport:
-    """True functional values for a pair of marginals.
-
-    ``divergence`` and ``renyi2`` are derived from the stored q-values, so the
-    identities divergence == q20 - 2*q11 + q02 and renyi2 == -log(q20) hold
-    exactly as stored.
-    """
+    """True functional values for a pair of marginals; the divergence and
+    the Renyi-2 entropy are derived from the q-values."""
 
     q20: float
     q11: float
     q02: float
-    divergence: float
-    renyi2: float
     method: str
     error_bound: float
+
+    @property
+    def divergence(self) -> float:
+        return self.q20 - 2.0 * self.q11 + self.q02
+
+    @property
+    def renyi2(self) -> float:
+        return -math.log(self.q20)
 
     def value_for(self, functional: str) -> float:
         """Look up the truth for a named functional."""
@@ -116,18 +117,6 @@ class TruthReport:
             return getattr(self, functional)
         except AttributeError:
             raise ValueError(f"unknown functional {functional!r}") from None
-
-
-def _report(q20, q11, q02, method, error_bound) -> TruthReport:
-    return TruthReport(
-        q20=q20,
-        q11=q11,
-        q02=q02,
-        divergence=q20 - 2.0 * q11 + q02,
-        renyi2=-math.log(q20),
-        method=method,
-        error_bound=error_bound,
-    )
 
 
 def _require_marginal(spec):
@@ -156,20 +145,20 @@ def _closed_form(mx, my):
     return None
 
 
-def _quadrature_q(mx, my, tol):
+def _quadrature_q(mx, my):
     lo_x, hi_x = mx.support()
     lo_y, hi_y = my.support()
-    q20, e20 = adaptive_simpson(lambda t: mx.pdf(t) ** 2, lo_x, hi_x, tol)
-    q02, e02 = adaptive_simpson(lambda t: my.pdf(t) ** 2, lo_y, hi_y, tol)
+    q20, e20 = adaptive_simpson(lambda t: mx.pdf(t) ** 2, lo_x, hi_x)
+    q02, e02 = adaptive_simpson(lambda t: my.pdf(t) ** 2, lo_y, hi_y)
     lo, hi = max(lo_x, lo_y), min(hi_x, hi_y)
     if lo < hi:
-        q11, e11 = adaptive_simpson(lambda t: mx.pdf(t) * my.pdf(t), lo, hi, tol)
+        q11, e11 = adaptive_simpson(lambda t: mx.pdf(t) * my.pdf(t), lo, hi)
     else:
         q11, e11 = 0.0, 0.0
     return (q20, q11, q02), e20 + e11 + e02
 
 
-def true_q(spec_x, spec_y=None, method: str = "auto", tol: float = 1e-11) -> TruthReport:
+def true_q(spec_x, spec_y=None, method: str = "auto") -> TruthReport:
     """True q20/q11/q02 (and derived divergence/entropy) for a process pair.
 
     With ``spec_y=None`` the same marginal is used on both sides, so q11 and
@@ -184,16 +173,16 @@ def true_q(spec_x, spec_y=None, method: str = "auto", tol: float = 1e-11) -> Tru
     if method != "quadrature":
         closed = _closed_form(mx, my)
         if closed is not None:
-            return _report(*closed, method="closed-form", error_bound=0.0)
+            return TruthReport(*closed, method="closed-form", error_bound=0.0)
         if method == "closed-form":
             raise UnsupportedProcessError(
                 f"no closed form for marginals {type(mx).__name__}/{type(my).__name__}"
             )
-    values, err = _quadrature_q(mx, my, tol)
-    return _report(*values, method="quadrature", error_bound=err)
+    values, err = _quadrature_q(mx, my)
+    return TruthReport(*values, method="quadrature", error_bound=err)
 
 
-def epsilon_level_target(spec_x, spec_y, epsilon: float, tol: float = 1e-11) -> float:
+def epsilon_level_target(spec_x, spec_y, epsilon: float) -> float:
     """The radius-smoothed target P(d(X, Y) <= eps) / ball_volume for independent X, Y.
 
     This is what the cross estimator is unbiased for (given enough index
@@ -209,7 +198,7 @@ def epsilon_level_target(spec_x, spec_y, epsilon: float, tol: float = 1e-11) -> 
     def integrand(t: float) -> float:
         return mx.pdf(t) * (my.cdf(t + eps) - my.cdf(t - eps))
 
-    prob, _ = adaptive_simpson(integrand, lo, hi, tol)
+    prob, _ = adaptive_simpson(integrand, lo, hi)
     return prob / volume
 
 
@@ -228,31 +217,26 @@ def _lag_covariances(series: np.ndarray, m: int) -> tuple[float, ...]:
     return tuple(covs)
 
 
-def _combine(covs) -> float:
-    return covs[0] + 2.0 * sum(covs[1:])
-
-
 def sigma2_oracle(
     spec_x,
     functional: tuple[int, int] = (2, 0),
     spec_y=None,
     reps: int = 200_000,
     stream: SeededStream | None = None,
-    batches: int = 32,
 ) -> AsymptoticVariance:
     """Monte Carlo long-run variance of the projected kernel.
 
     For the one-sample functional the projected kernel is the marginal
     density evaluated along the path; for the cross functional it is
     ``(p_Y(X_t) + p_X(Y_t)) / 2`` along a jointly generated pair of paths.
-    The standard error comes from batch means over ``batches`` contiguous
+    The standard error comes from batch means over ``_BATCHES`` contiguous
     blocks of one long run.
     """
     if stream is None:
         stream = SeededStream(0)
     reps = _check_integer(reps, "reps")
-    if reps < 4 * batches:
-        raise ValueError(f"reps={reps} too small for {batches} batches")
+    if reps < 4 * _BATCHES:
+        raise ValueError(f"reps={reps} too small for {_BATCHES} batches")
 
     if functional == (2, 0) or functional == (0, 2):
         spec = spec_x if functional == (2, 0) else spec_y
@@ -276,18 +260,13 @@ def sigma2_oracle(
     else:
         raise ValueError(f"functional must be (2,0), (1,1) or (0,2), got {functional!r}")
 
-    covs = _lag_covariances(series, m)
-    sigma2 = _combine(covs)
-
-    batch_len = series.size // batches
+    batch_len = series.size // _BATCHES
     batch_values = [
-        _combine(_lag_covariances(series[b * batch_len : (b + 1) * batch_len], m))
-        for b in range(batches)
+        AsymptoticVariance(_lag_covariances(series[b * batch_len : (b + 1) * batch_len], m)).sigma2
+        for b in range(_BATCHES)
     ]
     spread = float(np.std(batch_values, ddof=1))
-    return AsymptoticVariance(
-        sigma2=sigma2, m=m, lag_covariances=covs, se=spread / math.sqrt(batches)
-    )
+    return AsymptoticVariance(_lag_covariances(series, m), se=spread / math.sqrt(_BATCHES))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +333,7 @@ def _naive_estimate(x, y, epsilon, variant="complete", gap=None) -> FunctionalEs
         count = int(lags[g + 1 :].sum())
         pairs = (1 if y is None else 2) * math.comb(n - g, 2)
     normalizer = pairs * ball_volume(xp.shape[1], eps)
-    config = EstimateConfig(*_KL[piece], eps, variant, g)
-    return FunctionalEstimate(count / normalizer, count, normalizer, config)
+    return FunctionalEstimate(count / normalizer, count, normalizer, g)
 
 
 def naive_q20(x, epsilon) -> FunctionalEstimate:

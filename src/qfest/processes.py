@@ -410,9 +410,6 @@ class Iid:
         return self.base
 
 
-PROCESS_KINDS = ("gaussian-ma", "min-exp", "product-gauss", "max-iid", "bernoulli-shuffle", "iid")
-
-
 # ---------------------------------------------------------------------------
 # Generation entry points
 # ---------------------------------------------------------------------------

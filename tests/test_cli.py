@@ -117,6 +117,18 @@ class TestParseProcess:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, field", [
+        ("min-exp:rate=1:rate=2", "rate"),
+        ("iid:base=uniform:base=exponential:rate=2", "base"),
+        ("gaussian-ma:taps=1:taps=2|3", "taps"),
+        ("min-exp:rate=1: rate =2", "rate"),
+    ], ids=["min-exp", "iid-base", "gaussian-ma", "spaced"])
+    def test_repeated_field_is_an_input_error(self, tmp_path, capsys, text, field):
+        out = tmp_path / "sample.csv"
+        assert main(["generate", "--process", text, "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: process spec {text!r} repeats field {field!r}\n"
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_q20_fixture(self, tmp_path, capsys):
@@ -515,7 +527,7 @@ class TestEstimateInput:
         assert code == 0
         pairs = _kv(capsys)
         want = estimate_q20_incomplete(b_values, 0.05)
-        assert pairs["gap"] == str(want.config.gap) == "8"  # floor(log 3000)
+        assert pairs["gap"] == str(want.gap) == "8"  # floor(log 3000)
         assert pairs["value"] == repr(want.value)
         assert pairs["n"] == "3000"
 

@@ -17,7 +17,6 @@ from qfest.core import (
 )
 from qfest.estimators import (
     AsymptoticVariance,
-    EstimateConfig,
     InsufficientDataError,
     PairCounts,
     UndefinedEntropyError,
@@ -40,21 +39,13 @@ Q20_STD_NORMAL = 1.0 / (2.0 * math.sqrt(math.pi))
 
 
 class TestConfig:
-    def test_rejects_bad_kl(self):
-        with pytest.raises(ValueError):
-            EstimateConfig(k=2, l=1, epsilon=0.5)
-
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
-            EstimateConfig(k=2, l=0, epsilon=0.0)
-
-    def test_incomplete_needs_gap(self):
-        with pytest.raises(ValueError):
-            EstimateConfig(k=2, l=0, epsilon=0.5, variant="incomplete")
+            estimate_q20(np.arange(10.0), 0.0)
 
     def test_complete_takes_no_gap(self):
         with pytest.raises(ValueError):
-            EstimateConfig(k=2, l=0, epsilon=0.5, gap=3)
+            estimate_divergence(np.arange(10.0), np.arange(10.0), 0.5, "complete", 3)
 
 
 class TestGapRules:
@@ -454,33 +445,64 @@ class TestEpsilonLevelUnbiasedness:
 
 class TestAsymptoticVariance:
     def test_consistency_enforced(self):
-        AsymptoticVariance(sigma2=1.5, m=1, lag_covariances=(1.0, 0.25))
-        with pytest.raises(ValueError):
-            AsymptoticVariance(sigma2=2.0, m=1, lag_covariances=(1.0, 0.25))
-        with pytest.raises(ValueError):
-            AsymptoticVariance(sigma2=1.0, m=2, lag_covariances=(1.0,))
+        # sigma2 and m are derived from the lag covariances, so they cannot disagree
+        variance = AsymptoticVariance((1.0, 0.25))
+        assert variance.sigma2 == 1.5 and variance.m == 1 and variance.se is None
+        assert AsymptoticVariance((2.0,), se=0.1).sigma2 == 2.0
+        assert AsymptoticVariance((2.0,)).m == 0
 
 
 class TestArgumentErrors:
     @pytest.mark.parametrize("call, message", [
-        (lambda: EstimateConfig(k=2, l=0, epsilon=0.5, variant="x"),
+        (lambda: estimate_renyi2(np.arange(5.0), 0.5, variant="x"),
          "variant must be one of ('complete', 'incomplete'), got 'x'"),
         (lambda: count_pairs("bogus", np.arange(5.0), None, 0.5),
          "functional must be one of ('q20', 'q11', 'divergence', 'renyi2'), got 'bogus'"),
         (lambda: estimate_piece(count_pairs("q20", np.arange(9.0), None, 0.5, "incomplete", 2),
                                 "q20", 5),
          "no near-lag counts up to gap 5 (counted to 2)"),
-        (lambda: EstimateConfig(2, 0, 0.5, "incomplete", 2.5), "gap must be an integer, got 2.5"),
-        (lambda: EstimateConfig(2, 0, 0.5, "incomplete", math.nan),
+        (lambda: estimate_q20_incomplete(np.arange(9.0), 0.5, 2.5),
+         "gap must be an integer, got 2.5"),
+        (lambda: count_pairs("q11", np.arange(9.0), np.arange(9.0), 0.5, "incomplete", math.nan),
          "gap must be an integer, got nan"),
-        (lambda: EstimateConfig(2, 0, 0.5, "incomplete", math.inf),
+        (lambda: estimate_divergence(np.arange(9.0), np.arange(9.0), 0.5, "incomplete", math.inf),
          "gap must be an integer, got inf"),
+        (lambda: estimate_q11(np.arange(9.0), np.arange(9.0), 0.0),
+         "epsilon must be finite and > 0, got 0.0"),
+        (lambda: count_pairs("renyi2", np.arange(9.0), None, 0.5, "complete", 3),
+         "complete variant takes no gap"),
+        (lambda: estimate_q11_incomplete(np.arange(9.0), np.arange(9.0), 0.5, -1),
+         "incomplete variant requires a nonnegative gap"),
     ], ids=["config-variant", "count_pairs-functional", "estimate_piece-gap", "config-gap-fraction",
-            "config-gap-nan", "config-gap-inf"])
+            "config-gap-nan", "config-gap-inf", "epsilon-zero", "complete-with-gap",
+            "incomplete-negative-gap"])
     def test_message_names_the_argument(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
     def test_config_stores_an_integral_gap_as_an_int(self):
-        gap = EstimateConfig(2, 0, 0.5, "incomplete", 3.0).gap
+        gap = estimate_q20_incomplete(np.arange(9.0), 0.5, 3.0).gap
+        assert gap == 3 and type(gap) is int
+
+
+class TestEstimateGap:
+    X = np.random.default_rng(5).normal(size=60)
+    Y = np.random.default_rng(6).normal(size=60)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda x, y: estimate_q20(x, 0.5), lambda x, y: estimate_q11(x, y, 0.5),
+        lambda x, y: oracle.naive_q20(x, 0.5), lambda x, y: oracle.naive_q11(x, y, 0.5),
+    ], ids=["q20", "q11", "naive_q20", "naive_q11"])
+    def test_complete_estimate_has_no_gap(self, estimate):
+        assert estimate(self.X, self.Y).gap is None
+
+    @pytest.mark.parametrize("estimate", [
+        lambda x, y, gap: estimate_q20_incomplete(x, 0.5, gap),
+        lambda x, y, gap: estimate_q11_incomplete(x, y, 0.5, gap),
+        lambda x, y, gap: oracle.naive_q20_incomplete(x, 0.5, gap),
+        lambda x, y, gap: oracle.naive_q11_incomplete(x, y, 0.5, gap),
+    ], ids=["q20", "q11", "naive_q20", "naive_q11"])
+    def test_incomplete_estimate_holds_its_resolved_gap(self, estimate):
+        assert estimate(self.X, self.Y, None).gap == log_gap(60) == 4
+        gap = estimate(self.X, self.Y, 3.0).gap
         assert gap == 3 and type(gap) is int

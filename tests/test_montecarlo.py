@@ -1,11 +1,12 @@
 """Harness tests: determinism, error decomposition, slope fits, CSV schema."""
 
+import inspect
 import math
 import re
 import tracemalloc
 import warnings
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from qfest.montecarlo import (
     GapRule,
     McResult,
     McRow,
+    SlopeFit,
     csv_text,
     fit_loglog,
     fit_slope,
@@ -73,6 +75,11 @@ def _iid_q20_plan(**kw):
 
 
 class TestPlanValidation:
+    def test_gap_at_is_none_for_a_complete_spec(self):
+        assert EstimatorSpec("q20").gap_at(100) is None
+        assert EstimatorSpec("q20", "incomplete").gap_at(100) == log_gap(100) == 4
+        assert EstimatorSpec("q11", "incomplete", GapRule.fixed(3)).gap_at(100) == 3
+
     def test_accepts_reasonable_plan(self):
         plan = _iid_q20_plan()
         assert plan.functional == "q20"
@@ -366,6 +373,10 @@ class TestSlopeFit:
             fit_slope(result)
         assert fit_slope(result, "a").slope == pytest.approx(-1.0)
 
+    def test_fit_carries_no_estimator_label(self):
+        assert "estimator" not in inspect.signature(fit_loglog).parameters
+        assert "estimator" not in {f.name for f in fields(SlopeFit)}
+
 
 class TestNmseCheck:
     def _result(self, mse_at):
@@ -585,22 +596,19 @@ class TestCountOnce:
         # validation stays at the public boundary: a chunk's values are
         # arithmetic on its count record, with no per-replication record
         built = []
+        cls = mc.est.FunctionalEstimate
 
-        def recorded(cls):
-            def build(*args, **kwargs):
-                built.append(cls.__name__)
-                return cls(*args, **kwargs)
+        def build(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
 
-            return build
-
-        for cls in (mc.est.EstimateConfig, mc.est.FunctionalEstimate):
-            monkeypatch.setattr(mc.est, cls.__name__, recorded(cls))
+        monkeypatch.setattr(mc.est, cls.__name__, build)
         plan = _fig1_plan(reps=4)
         values = mc._eval_chunk(plan, 0, 100, plan.schedule.epsilon_at(100), 0, plan.reps)
         assert values.shape == (len(plan.estimators), plan.reps)
         assert built == []
-        mc.est.estimate_q20([0.0, 0.5], 1.0)  # the library boundary still builds both
-        assert set(built) == {"EstimateConfig", "FunctionalEstimate"}
+        mc.est.estimate_q20([0.0, 0.5], 1.0)  # the library boundary still builds one
+        assert built == ["FunctionalEstimate"]
 
     def test_failure_rate_error_names_first_stream(self):
         plan = _iid_q20_plan(

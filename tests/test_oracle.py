@@ -1,5 +1,6 @@
 """Oracle tests: quadrature, closed forms, smoothed targets, long-run variance."""
 
+import inspect
 import math
 import re
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from qfest import estimators, oracle
 from qfest.estimators import InsufficientDataError
 from qfest.oracle import (
+    TruthReport,
     UnsupportedProcessError,
     adaptive_simpson,
     epsilon_level_target,
@@ -81,6 +83,22 @@ class TestTrueQ:
         report = true_q(FIG_X, FIG_Y)
         assert report.divergence == report.q20 - 2.0 * report.q11 + report.q02
         assert report.renyi2 == -math.log(report.q20)
+
+    def test_report_derives_divergence_and_entropy(self):
+        q20, q11, q02 = 0.3, 0.1 + 0.2, 1.0 / 3.0
+        report = TruthReport(q20, q11, q02, "quadrature", 1e-12)
+        assert report.divergence == q20 - 2.0 * q11 + q02
+        assert report.renyi2 == -math.log(q20)
+        assert report.value_for("renyi2") == report.renyi2
+
+    @pytest.mark.parametrize("function, removed", [
+        (adaptive_simpson, {"tol", "max_depth"}),
+        (true_q, {"tol"}),
+        (epsilon_level_target, {"tol"}),
+        (sigma2_oracle, {"batches"}),
+    ], ids=["adaptive_simpson", "true_q", "epsilon_level_target", "sigma2_oracle"])
+    def test_fixed_numerics_are_not_parameters(self, function, removed):
+        assert not removed & set(inspect.signature(function).parameters)
 
     def test_quadrature_agrees_with_closed_form(self):
         for spec_x, spec_y in (
@@ -220,8 +238,8 @@ class TestNaiveEstimators:
 
     def test_integral_float_gap_is_accepted(self):
         x = [float(i) for i in range(20)]
-        assert naive_q20_incomplete(x, 3.0, 2.0).config.gap == 2
-        assert naive_q11_incomplete(x, x, 3.0, 2.0).config.gap == 2
+        assert naive_q20_incomplete(x, 3.0, 2.0).gap == 2
+        assert naive_q11_incomplete(x, x, 3.0, 2.0).gap == 2
 
     @pytest.mark.parametrize("name", ["q20", "q11", "q20_incomplete", "q11_incomplete"])
     def test_overflowing_normalizer_is_rejected_as_by_the_estimator(self, name):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from qfest.cli import _BASED, _KINDS
 from qfest.processes import (
-    PROCESS_KINDS,
     BernoulliShuffle,
     ExponentialMarginal,
     GaussianMA,
@@ -317,7 +317,7 @@ class TestStackedGeneration:
             assert np.array_equal(generate(spec, n, streams[3]), stack[3])
 
     def test_every_kind_is_covered(self):
-        assert sorted(spec.kind for spec in STACK_SPECS) == sorted(PROCESS_KINDS)
+        assert sorted(spec.kind for spec in STACK_SPECS) == sorted([*_KINDS, *_BASED])
 
     def test_long_moving_sum_rows(self):
         # the moving sum's scratch buffer spans a block of rows; rows past it must match too

@@ -1,23 +1,27 @@
-"""Record the benchmark of two commits side by side in a ``BENCH_*.json`` file.
+"""Record the benchmark of two commits and a fixed anchor side by side in a ``BENCH_*.json`` file.
 
 Usage, from the root of the repository::
 
     python3 tools/bench_record.py --base 37f143c --head HEAD --out BENCH_13.json
 
-Each commit is extracted with ``git archive <rev> | tar -x -C DIR`` into a
-fresh directory, so both sides run from their committed files only.  Each
-workload then runs in its own process, with the checkout's own
-``perfbench/run.py`` at seed 0, in ten alternating base/head pairs; the side
-that runs first alternates from pair to pair, so a drift of the machine's
-load falls on both sides alike.  Each ``run.py`` takes its run length from
-its own ``BENCHMARK.json``; the recorder refuses two commits whose lengths
-differ, as their runs would not be comparable.  The file holds, per workload
-and side, the median and quartiles of ``iter_s``, ``peak_rss_mb`` and
+Each commit, and the fixed ``ANCHOR`` commit, is extracted with ``git archive
+<rev> | tar -x -C DIR`` into a fresh directory, so every side runs from its
+committed files only.  Each workload then runs in its own process, with the
+checkout's own ``perfbench/run.py`` at seed 0, in ten rounds of one run per
+side; the order of the three sides rotates from round to round (and reverses
+every other cycle of three rounds), so a drift of the machine's load falls on
+every side alike.  Each ``run.py`` takes its run
+length from its own ``BENCHMARK.json``; the recorder refuses sides whose
+lengths differ, as their runs would not be comparable.  The file holds, per
+workload and side, the median and quartiles of ``iter_s``, ``peak_rss_mb`` and
 ``setup_s``, and of every informational line a run printed (such as
 ``two_workers_s``, ``estimate_s`` and ``reps_per_s.1w``), with every run's
-value (``null`` for a run that reported none, so the pairs stay aligned),
-whether every run checked out, and how many
-pairs the head won on ``iter_s``.  Each run's process is also timed from
+value (``null`` for a run that reported none, so the rounds stay aligned),
+whether every run checked out, and in how many rounds the head beat the base
+on ``iter_s``.  For base and head it also holds ``ratio_to_anchor``, each
+metric's median over the anchor's: the anchor is the same tree in every
+record, so these ratios compare across records, where raw medians drift with
+the machine.  Each run's process is also timed from
 outside: ``wall_s`` is its wall time and ``cpu_s`` the user plus system
 seconds it and its waited-for children used (the ``RUSAGE_CHILDREN`` delta
 around it).  Both are summarized like the metrics, with each one's quartile
@@ -48,6 +52,8 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mc-fig1", "estimate-d1", "estimate-grid")
+# the fixed third side of every record; its BENCHMARK.json runs for 36 s
+ANCHOR = "412e024"
 METRICS = ("iter_s", "peak_rss_mb", "setup_s")
 # measured around each run's process, not reported by it
 PROCESS_METRICS = ("wall_s", "cpu_s")
@@ -135,31 +141,41 @@ def rel_spread(entry: dict) -> float:
     return (entry["q3"] - entry["q1"]) / entry["median"]
 
 
+def ratio(median: float | None, anchor: float | None) -> float | None:
+    """A side's median over the anchor's; None when either is missing."""
+    return median / anchor if median is not None and anchor else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the revision to compare against")
     parser.add_argument("--head", default="HEAD", help="the revision under test")
     parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
     args = parser.parse_args(argv)
-    sides = ("base", "head")
+    revs = {"base": args.base, "head": args.head, "anchor": ANCHOR}
+    sides = tuple(revs)
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         checkouts = {side: Path(tmp) / side for side in sides}
-        meta = {side: extract(getattr(args, side), checkouts[side]) for side in sides}
+        meta = {side: extract(revs[side], checkouts[side]) for side in sides}
         seconds = {side: json.loads((checkouts[side] / "BENCHMARK.json").read_text(
             encoding="utf-8"))["run_seconds"] for side in sides}
-        if seconds["base"] != seconds["head"]:
-            parser.error(f"the two commits run for different lengths: {seconds}")
+        if len(set(seconds.values())) != 1:
+            parser.error(f"the commits run for different lengths: {seconds}")
         for side in sides:
             meta[side]["tier1"] = tier1(checkouts[side])
-            print(f"tier-1 {side:<4} {meta[side]['tier1']}", flush=True)
+            print(f"tier-1 {side:<6} {meta[side]['tier1']}", flush=True)
         runs = {w: {side: [] for side in sides} for w in WORKLOADS}
         for pair in range(PAIRS):
             for w in WORKLOADS:
-                for side in sides if pair % 2 == 0 else sides[::-1]:
+                # rotated each round, and reversed every other cycle of rounds,
+                # so the base runs before the head in half of the rounds
+                turn = pair % len(sides)
+                order = sides[turn:] + sides[:turn]
+                for side in order[::-1] if pair // len(sides) % 2 else order:
                     result = run_once(checkouts[side], w)
                     runs[w][side].append(result)
                     iter_s = result["metrics"].get("iter_s", {}).get("value")
-                    print(f"pair {pair} {w:<14} {side:<4} iter_s {iter_s} "
+                    print(f"pair {pair} {w:<14} {side:<6} iter_s {iter_s} "
                           f"wall_s {result['wall_s']:.2f} cpu_s {result['cpu_s']:.2f} "
                           f"correct {result['correct']}", flush=True)
     record = {
@@ -183,7 +199,11 @@ def main(argv=None) -> int:
             entry[side]["steadier"] = min(PROCESS_METRICS, key=spread.get)
         entry["correct"] = all(r["correct"] and r["exit"] == 0
                                for side in sides for r in by_side[side])
-        base, head = (entry[side]["iter_s"]["runs"] for side in sides)
+        for side in ("base", "head"):
+            entry[side]["ratio_to_anchor"] = {
+                m: ratio(entry[side][m]["median"], entry["anchor"][m]["median"])
+                for m in METRICS}
+        base, head = (entry[side]["iter_s"]["runs"] for side in ("base", "head"))
         entry["head_faster_pairs"] = sum(b is not None and h is not None and h < b
                                          for b, h in zip(base, head))
         record["workloads"][w] = entry
