@@ -20,6 +20,10 @@ Processes are selected by compact spec strings, e.g.
 ``product-gauss``, ``max-iid:lo=0:hi=1``, ``bernoulli-shuffle:mean=0:variance=1``,
 ``iid:base=exponential:rate=1``.
 
+Only ``simulate``, ``rates`` and ``truth`` import the Monte Carlo harness and
+the oracle, inside their handlers, so ``estimate`` and ``generate`` never load
+them or the process pool.
+
 Exit codes: 0 success, 2 input error, 3 computation error.
 """
 
@@ -37,17 +41,6 @@ import numpy as np
 from .bandwidth import REGIMES, EpsilonSchedule
 from .estimators import _PIECES, _VARIANTS, EstimationError, _single_value
 from .estimators import count_pairs, estimate_piece
-from .montecarlo import (
-    EstimatorSpec,
-    ExperimentPlan,
-    GapRule,
-    fit_loglog,
-    read_csv_rows,
-    run,
-    write_csv,
-    write_plot_data,
-)
-from .oracle import true_q
 from .processes import (
     BernoulliShuffle,
     ExponentialMarginal,
@@ -129,31 +122,33 @@ def parse_process(text: str):
         raise _InputError(f"bad process spec {text!r}: {exc}") from exc
 
 
-def _parse_estimator_tokens(text: str, functional: str) -> tuple[EstimatorSpec, ...]:
+def _parse_estimator_tokens(text: str, functional: str) -> tuple:
+    from . import montecarlo
+
     specs = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         if token == "complete":
-            specs.append(EstimatorSpec(functional, "complete"))
+            specs.append(montecarlo.EstimatorSpec(functional, "complete"))
             continue
         head, _, tail = (part.strip() for part in token.partition(":"))
         if head != "incomplete":
             raise _InputError(f"unknown estimator token {token!r}")
         if tail in ("", "log"):
-            rule = GapRule.log()
+            rule = montecarlo.GapRule.log()
         elif tail == "sqrt":
-            rule = GapRule.sqrt()
+            rule = montecarlo.GapRule.sqrt()
         elif tail.startswith("fixed="):
             try:
                 gap = int(tail.removeprefix("fixed="))
             except ValueError:
                 raise _InputError(f"bad gap rule {tail!r} in {token!r}") from None
-            rule = GapRule.fixed(gap)
+            rule = montecarlo.GapRule.fixed(gap)
         else:
             raise _InputError(f"unknown gap rule {tail!r} in {token!r}")
-        specs.append(EstimatorSpec(functional, "incomplete", rule))
+        specs.append(montecarlo.EstimatorSpec(functional, "incomplete", rule))
     if not specs:
         raise _InputError("estimator list is empty")
     return tuple(specs)
@@ -204,7 +199,8 @@ class _Opt:
 
 
 _ESTIMATE_OPTS = (
-    _Opt("functional", _choice("q20", "q02", "q11", "divergence", "renyi2"),
+    # q02 is q20 of the second sample, listed right after it
+    _Opt("functional", _choice(*dict.fromkeys(("q20", "q02", *_PIECES))),
          required=True, help="which functional to estimate"),
     _Opt("epsilon", float, required=True, help="close-pair radius (> 0)"),
     _Opt("variant", _choice(*_VARIANTS), default="complete"),
@@ -449,8 +445,10 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_truth(ns: argparse.Namespace) -> int:
+    from . import oracle
+
     merged = _merge(ns, _TRUTH_OPTS)
-    report = true_q(merged["process_x"], merged["process_y"], method=merged["method"])
+    report = oracle.true_q(merged["process_x"], merged["process_y"], method=merged["method"])
     for key in ("q20", "q11", "q02", "divergence", "renyi2"):
         _print_kv(key, getattr(report, key))
     _print_kv("method", report.method)
@@ -465,6 +463,8 @@ def _c_path(path: str, c: float, c_count: int) -> Path:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
+    from . import montecarlo
+
     merged = _merge(ns, _SIMULATE_OPTS)
     estimators = _parse_estimator_tokens(merged["estimators"], merged["functional"])
     c_values = merged["c"]
@@ -481,7 +481,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
                 raise _InputError(f"cannot write {path}: it is a directory or its parent is not")
         # every built-in process is scalar, and the plan accepts d = 1 only
         schedule = EpsilonSchedule(regime=merged["schedule"], d=1, alpha=merged["alpha"], c=c)
-        plans[target] = plot_base, ExperimentPlan(
+        plans[target] = plot_base, montecarlo.ExperimentPlan(
             process_x=merged["process_x"],
             process_y=merged["process_y"],
             estimators=estimators,
@@ -493,19 +493,21 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
             label=merged["label"],
         )
     for target, (plot_base, plan) in plans.items():
-        result = run(plan, workers=merged["threads"])
-        write_csv(result, target)
+        result = montecarlo.run(plan, workers=merged["threads"])
+        montecarlo.write_csv(result, target)
         _print_kv("wrote", target)
         if plot_base:
-            for written in write_plot_data(result, plot_base):
+            for written in montecarlo.write_plot_data(result, plot_base):
                 _print_kv("wrote", written)
     return 0
 
 
 def _cmd_rates(ns: argparse.Namespace) -> int:
+    from . import montecarlo
+
     merged = _merge(ns, _RATES_OPTS)
     try:
-        rows = read_csv_rows(ns.csv)
+        rows = montecarlo.read_csv_rows(ns.csv)
     except (OSError, ValueError) as exc:
         raise _InputError(f"cannot read {ns.csv}: {exc}") from exc
     if not rows:
@@ -514,7 +516,7 @@ def _cmd_rates(ns: argparse.Namespace) -> int:
     for label in dict.fromkeys(row["estimator"] for row in rows):
         sub = [r for r in rows if r["estimator"] == label]
         try:
-            fit = fit_loglog([r["n"] for r in sub], [r["mse"] for r in sub])
+            fit = montecarlo.fit_loglog([r["n"] for r in sub], [r["mse"] for r in sub])
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
         _print_kv("estimator", label)

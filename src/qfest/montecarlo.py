@@ -266,14 +266,20 @@ class SlopeFit:
 class NmseCheck:
     """Comparison of n*mse at the largest grid n against 4*sigma2."""
 
-    ratio: float
-    passed: bool
     n: int
     mse: float
     sigma2: float
     band: float
     skipped: bool = False
     note: str = ""
+
+    @property
+    def ratio(self) -> float:
+        return self.n * self.mse / (4.0 * self.sigma2)
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.ratio - 1.0) <= self.band
 
 
 def resolve_truth(plan: ExperimentPlan) -> float:
@@ -458,18 +464,14 @@ def nmse_limit_check(
     reported as such rather than failing.
     """
     if sigma2 is None:
-        return NmseCheck(
-            ratio=float("nan"), passed=False, n=0, mse=float("nan"),
-            sigma2=float("nan"), band=band, skipped=True, note="sigma2 unavailable",
-        )
+        return NmseCheck(n=0, mse=float("nan"), sigma2=float("nan"), band=band,
+                         skipped=True, note="sigma2 unavailable")
     s2 = sigma2.sigma2 if isinstance(sigma2, AsymptoticVariance) else float(sigma2)
     label = _pick_estimator(result, estimator)
     row = max(result.rows_for(label), key=lambda r: r.n)
-    ratio = row.n * row.mse / (4.0 * s2)
-    return NmseCheck(
-        ratio=ratio, passed=abs(ratio - 1.0) <= band, n=row.n, mse=row.mse,
-        sigma2=s2, band=band,
-    )
+    if s2 == 0.0:  # the ratio is undefined; raised here, not at its first read
+        raise ZeroDivisionError("sigma2 is 0, so n*mse/(4*sigma2) is undefined")
+    return NmseCheck(n=row.n, mse=row.mse, sigma2=s2, band=band)
 
 
 # ---------------------------------------------------------------------------

@@ -598,7 +598,7 @@ class TestScheduleConstants:
         def refuse(plan, workers=1):
             raise AssertionError("a plan ran")
 
-        monkeypatch.setattr(cli, "run", refuse)
+        monkeypatch.setattr(montecarlo, "run", refuse)
 
     @pytest.mark.parametrize("c", ["", ",", " , "])
     def test_empty_list_is_input_error(self, tmp_path, capsys, c):
@@ -625,7 +625,7 @@ class TestRadiusCheckedBeforeRuns:
         def refuse(*args, **kwargs):
             raise AssertionError("a plan ran before every radius was checked")
 
-        monkeypatch.setattr(cli, "run", refuse)
+        monkeypatch.setattr(montecarlo, "run", refuse)
         out = tmp_path / "o.csv"
         argv = ["simulate", "--process-x", "iid", "--functional", "q20", "--c", "1e305",
                 "--reps", "200000", "--out", str(out)]
@@ -667,7 +667,7 @@ class TestUnwritableOutput:
         def refuse(*args, **kwargs):
             raise AssertionError("a plan ran before every output was checked")
 
-        monkeypatch.setattr(cli, "run", refuse)
+        monkeypatch.setattr(montecarlo, "run", refuse)
         (tmp_path / "file").write_text("")
         for name in ("x-c2.csv", "p-c2.csv"):
             (tmp_path / name).mkdir()

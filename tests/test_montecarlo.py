@@ -16,6 +16,7 @@ from qfest import montecarlo as mc
 from qfest.bandwidth import EpsilonSchedule
 from qfest.cli import main as cli_main
 from qfest.estimators import (
+    AsymptoticVariance,
     EstimationError,
     estimate_divergence,
     estimate_q11,
@@ -403,6 +404,14 @@ class TestNmseCheck:
         check = nmse_limit_check(self._result(lambda n: 1.0 / n), None)
         assert check.skipped and not check.passed
         assert "unavailable" in check.note
+
+    def test_skipped_ratio_is_nan(self):
+        assert math.isnan(nmse_limit_check(self._result(lambda n: 1.0 / n), None).ratio)
+
+    @pytest.mark.parametrize("sigma2", [0.0, AsymptoticVariance((0.0,))], ids=["float", "record"])
+    def test_zero_sigma2_raises_at_the_call(self, sigma2):
+        with pytest.raises(ZeroDivisionError, match="sigma2 is 0"):
+            nmse_limit_check(self._result(lambda n: 1.0 / n), sigma2)
 
 
 class TestCsv:
