@@ -264,7 +264,11 @@ class SlopeFit:
 
 @dataclass(frozen=True)
 class NmseCheck:
-    """Comparison of n*mse at the largest grid n against 4*sigma2."""
+    """Comparison of n*mse at the largest grid n against 4*sigma2.
+
+    ``ratio`` is n*mse/(4*sigma2) and ``passed`` says whether it is within
+    ``band`` of 1; a skipped check holds NaN, so its ratio is NaN and it fails.
+    """
 
     n: int
     mse: float
