@@ -22,7 +22,8 @@ Processes are selected by compact spec strings, e.g.
 
 Only ``simulate``, ``rates`` and ``truth`` import the Monte Carlo harness and
 the oracle, inside their handlers, so ``estimate`` and ``generate`` never load
-them or the process pool.
+them or the process pool.  The process classes are imported where a spec is
+parsed or a sample generated, so ``estimate`` never loads them either.
 
 Exit codes: 0 success, 2 input error, 3 computation error.
 """
@@ -41,19 +42,6 @@ import numpy as np
 from .bandwidth import REGIMES, EpsilonSchedule
 from .estimators import _PIECES, _VARIANTS, EstimationError, _single_value
 from .estimators import count_pairs, estimate_piece
-from .processes import (
-    BernoulliShuffle,
-    ExponentialMarginal,
-    GaussianMA,
-    Iid,
-    MaxIid,
-    MinExp,
-    NormalMarginal,
-    ProductGauss,
-    SeededStream,
-    UniformMarginal,
-    generate,
-)
 
 
 class _InputError(Exception):
@@ -65,24 +53,25 @@ class _InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
-# Each process kind and marginal law a spec can name: its class, and the
-# converter of each of its fields.  A field the spec leaves out takes the
-# class's own default.
+# Each process kind and marginal law a spec can name: the name of its class in
+# ``qfest.processes``, and the converter of each of its fields.  A field the
+# spec leaves out takes the class's own default.
 _KINDS = {
-    "gaussian-ma": (GaussianMA, {"taps": lambda v: tuple(float(t) for t in v.split("|")),
-                                "shift": float}),
-    "min-exp": (MinExp, {"rate": float, "window": int}),
-    "product-gauss": (ProductGauss, {}),
+    "gaussian-ma": ("GaussianMA", {"taps": lambda v: tuple(float(t) for t in v.split("|")),
+                                  "shift": float}),
+    "min-exp": ("MinExp", {"rate": float, "window": int}),
+    "product-gauss": ("ProductGauss", {}),
 }
 _MARGINALS = {
-    "normal": (NormalMarginal, {"mean": float, "variance": float}),
-    "exponential": (ExponentialMarginal, {"rate": float}),
-    "uniform": (UniformMarginal, {"lo": float, "hi": float}),
+    "normal": ("NormalMarginal", {"mean": float, "variance": float}),
+    "exponential": ("ExponentialMarginal", {"rate": float}),
+    "uniform": ("UniformMarginal", {"lo": float, "hi": float}),
 }
 # The kinds built on a marginal law, each with the law it takes; None means a
 # ``base`` field names it, normal by default.
-_BASED = {"max-iid": (MaxIid, "uniform"), "bernoulli-shuffle": (BernoulliShuffle, "normal"),
-          "iid": (Iid, None)}
+_BASED = {"max-iid": ("MaxIid", "uniform"),
+          "bernoulli-shuffle": ("BernoulliShuffle", "normal"),
+          "iid": ("Iid", None)}
 
 
 def parse_process(text: str):
@@ -91,6 +80,8 @@ def parse_process(text: str):
     A field may appear once.  Every field is converted before an unknown field
     is reported, and an unknown field is reported before the process is built.
     """
+    from . import processes
+
     kind, *parts = text.split(":")
     kind = kind.strip()
     fields: dict[str, str] = {}
@@ -117,7 +108,8 @@ def parse_process(text: str):
                 if key in fields}
         if fields:
             raise _InputError(f"unknown {kind} parameters: {', '.join(sorted(fields))}")
-        return process(**args) if law is None else process(base=law(**args))
+        build = getattr(processes, process)
+        return build(**args) if law is None else build(base=getattr(processes, law)(**args))
     except ValueError as exc:
         raise _InputError(f"bad process spec {text!r}: {exc}") from exc
 
@@ -434,6 +426,8 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
+    from .processes import SeededStream, generate
+
     merged = _merge(ns, _GENERATE_OPTS)
     stream = SeededStream(merged["seed"], merged["stream"])
     sample = generate(merged["process"], merged["n"], stream)

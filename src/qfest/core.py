@@ -19,10 +19,12 @@ every input.  Each coordinate but the last is cut into cells, runs of its
 sorted values each starting at the first value not close to the start of the
 one before, so a close pair lies in neighbouring cells at any radius and
 magnitude.  Along the last, each distinct value gets the exact window of the
-values close to it.  Cells and windows are built once per row of a record;
-each sample is sorted once by a key of cell ranks and, fastest, last-value
-ranks, so a point's candidates in each of its 3**(k-1) neighbour strips are
-one contiguous range, and each is checked with the full predicate.  Every gap
+values close to it.  Cells and window ends are built once per row of a
+record, and the window starts are counted from the ends once per row, so a
+pass only looks them up; each sample is sorted once by a key of cell ranks
+and, fastest, last-value ranks, so a point's candidates in each of its
+3**(k-1) neighbour strips are one contiguous range, and each is checked with
+the full predicate.  Every gap
 count is the full count minus the near-lag counts up to the gap, each lag a
 dense comparison of the stack shifted along time.
 
@@ -37,8 +39,8 @@ positions at a time, and each pass counts just its tile: window ends of
 sorted queries, their guesses merged with the span of the row they cover a
 piece of that many values at a time; strip candidates, checked that many
 pairs at a time; or near lags.  A record so needs the sorted copies of its
-samples (at d >= 2 with their keys and window ends) and O(block) more
-memory per pass.  Every pass runs in the calling thread.
+samples (at d >= 2 with their keys and window starts and ends) and O(block)
+more memory per pass.  Every pass runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -182,17 +184,29 @@ def _iter_flat_ranges(lo: np.ndarray, hi: np.ndarray):
 
     Each chunk is (rows, lens, pos): a slice of rows, the number of each
     row's candidates in the chunk, and their positions, row after row.  A
-    range longer than a chunk is split between chunks.
+    range longer than a chunk is split between chunks, so only a chunk's
+    first and last rows can hold part of their range: its lengths are the
+    rows' range lengths with just those two trimmed.
     """
-    csum = np.concatenate(([0], np.cumsum(np.maximum(hi - lo, 0))))
-    # pair p of the flattening is candidate lo_i + p - csum_i of the row i holding it
+    lengths = hi - lo
+    np.maximum(lengths, 0, out=lengths)
+    csum = np.concatenate(([0], np.cumsum(lengths)))
     starts = np.arange(0, csum[-1], _STACK_BLOCK)
     stops = np.minimum(starts + _STACK_BLOCK, csum[-1])
     first_rows = np.searchsorted(csum, starts, side="right") - 1
     stop_rows = np.searchsorted(csum, stops, side="left")
-    for p0, p1, r0, r1 in zip(*(v.tolist() for v in (starts, stops, first_rows, stop_rows))):
-        lens = np.diff(np.clip(csum[r0 : r1 + 1], p0, p1))
-        yield slice(r0, r1), lens, np.arange(p0, p1) + np.repeat(lo[r0:r1] - csum[r0:r1], lens)
+    # the pairs of the first row before the chunk, and of the last row after it
+    before, after = starts - csum[first_rows], csum[stop_rows] - stops
+    chunks = (starts, stops, first_rows, stop_rows, before, after)
+    # pair p of the flattening is candidate p + lo_i - csum_i of the row i holding it
+    shift = np.subtract(lo, csum[:-1], out=csum[:-1])
+    for p0, p1, r0, r1, trim0, trim1 in zip(*(v.tolist() for v in chunks)):
+        lens = lengths[r0:r1].copy()
+        lens[0] -= trim0
+        lens[-1] -= trim1
+        pos = np.repeat(shift[r0:r1], lens)
+        pos += np.arange(p0, p1)
+        yield slice(r0, r1), lens, pos
 
 
 def _close_in_ranges(
@@ -210,7 +224,7 @@ def _close_in_ranges(
         for ak, bk in zip(a, b):
             # in place, with the rounding of s + (a - b) * (a - b)
             diff = np.repeat(ak[rows], reps)
-            diff -= bk[pos]
+            diff -= bk.take(pos)
             diff *= diff
             if s is None:
                 s = diff
@@ -341,9 +355,27 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
 # some coordinate is so never close.
 
 
-def _distinct_ends(column: np.ndarray, eps: float, eps2: float):
-    """The sorted distinct values of ``column``, each value's rank among them, and their window ends."""
-    values, inverse = np.unique(column, return_inverse=True)
+def _distinct_ends(columns, eps: float, eps2: float):
+    """The sorted distinct values of ``columns``' union, each value's rank among them, and their window ends.
+
+    ``columns`` is a sequence of 1-D arrays (or one 1-D array).  Their union
+    is argsorted once and dropped once its sorted copy is made; the values
+    and the ranks come from the sorted copy, whose buffer then holds the
+    ranks in sorted order until they are scattered back to the points.
+    """
+    column = np.concatenate(columns, axis=None)
+    order = column.argsort()
+    column = column.take(order)
+    new = np.empty(column.size, dtype=bool)  # where a run of equal sorted values starts
+    new[:1] = True
+    np.not_equal(column[1:], column[:-1], out=new[1:])
+    values = column[new]
+    ranks = column.view(np.int64)
+    np.cumsum(new, out=ranks)
+    ranks -= 1
+    inverse = np.empty_like(ranks)
+    inverse[order] = ranks
+    del column, ranks, order, new
     ends = np.concatenate([
         _window_ends(values[None], values[None, s : s + _STACK_BLOCK], eps, eps2)[0]
         for s in range(0, values.size, _STACK_BLOCK)
@@ -351,8 +383,8 @@ def _distinct_ends(column: np.ndarray, eps: float, eps2: float):
     return values, inverse, ends
 
 
-def _cell_ranks(column: np.ndarray, eps: float, eps2: float) -> np.ndarray:
-    """The rank of each value's cell along one coordinate.
+def _cell_ranks(columns, eps: float, eps2: float) -> np.ndarray:
+    """The rank of each value's cell along one coordinate, over the union of ``columns``.
 
     Over the sorted distinct values, a new cell starts at the first value that
     is not close to the start of the cell before it, the window end that
@@ -362,7 +394,7 @@ def _cell_ranks(column: np.ndarray, eps: float, eps2: float) -> np.ndarray:
     differ by two or more are never close, for any radius and at any
     magnitude, and equal values share a cell.
     """
-    values, inverse, ends = _distinct_ends(column, eps, eps2)
+    values, inverse, ends = _distinct_ends(columns, eps, eps2)
     starts, s = [], int(ends[0])  # the first cell starts at 0
     while s < values.size:
         starts.append(s)
@@ -372,14 +404,18 @@ def _cell_ranks(column: np.ndarray, eps: float, eps2: float) -> np.ndarray:
     step *= step
     jumps = np.zeros(values.size, dtype=np.int64)
     jumps[starts] = np.where(step <= eps2, 1, 2)
-    return 1 + np.cumsum(jumps)[inverse]
+    del values, ends  # before the ranks are gathered for every point
+    cells = np.cumsum(jumps, out=jumps)
+    cells += 1
+    return cells.take(inverse)
 
 
 def _window_starts(end: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The start of each rank u's exact window [start_u, end_u), given ``_distinct_ends``' ends.
 
     The ends never decrease and (a - b)**2 equals (b - a)**2 bit for bit, so
-    u lies in the window of w < u exactly when end_w > u.
+    u lies in the window of w < u exactly when end_w > u.  ``_sorted_strips``
+    keeps these starts for every rank of a row, counted from the ends once.
     """
     return end.searchsorted(u, side="right")
 
@@ -402,15 +438,15 @@ def _strip_keys(eps: float, *samples: np.ndarray):
     strides: list[int] = []
     span = keys.size  # room for the last digit
     for k in range(samples[0].shape[1] - 1):
-        ranks = _cell_ranks(np.concatenate([pts[:, k] for pts in samples]), eps, eps2)
+        ranks = _cell_ranks([pts[:, k] for pts in samples], eps, eps2)
         width = int(ranks.max()) + 2
-        if span * width > np.iinfo(np.int64).max:
-            continue
-        span *= width
-        keys *= width
-        keys += ranks
-        strides = [s * width for s in strides] + [1]
-    _, inverse, end = _distinct_ends(np.concatenate([pts[:, -1] for pts in samples]), eps, eps2)
+        if span * width <= np.iinfo(np.int64).max:
+            span *= width
+            keys *= width
+            keys += ranks
+            strides = [s * width for s in strides] + [1]
+        del ranks
+    _, inverse, end = _distinct_ends([pts[:, -1] for pts in samples], eps, eps2)
     keys *= end.size
     keys += inverse
     split = np.cumsum([len(pts) for pts in samples])[:-1]
@@ -422,17 +458,22 @@ def _sorted_strips(eps: float, samples: dict):
 
     ``samples`` maps each sample to its (R, n, d) stack.  The cells and the
     window ends of a row are built once, on the union of the samples' rows,
-    and each sample's keys are sorted once.  Returns, per sample, a list over
-    the rows of its sorted keys and its points in that order as (d, n)
-    coordinate columns, and each row's frame: its strides and window ends.
+    and each sample's keys are sorted once.  The window starts of a row's U
+    ranks are then counted from its ends, once: the ends never decrease, so
+    the start of rank u (``_window_starts``), the number of ends at or below
+    u, is the running sum of how many ends take each value.  Returns, per sample, a list over the rows of its
+    sorted keys and its points in that order as (d, n) coordinate columns,
+    and each row's frame: its strides and window starts and ends.
     """
     grids, frames = {key: [] for key in samples}, []
     for rows in zip(*samples.values()):
-        keys, *frame = _strip_keys(eps, *rows)
-        frames.append(frame)
+        keys, strides, end = _strip_keys(eps, *rows)
         for key, k, pts in zip(samples, keys, rows):
             order = np.argsort(k)
             grids[key].append((k[order], np.ascontiguousarray(pts.T[:, order])))
+        del keys, k, order  # the unsorted keys, before the starts are counted
+        start = np.cumsum(np.bincount(end, minlength=end.size + 1)[: end.size])
+        frames.append((strides, start, end))
     return grids, frames
 
 
@@ -461,13 +502,13 @@ def _count_strips(a: list, b: list | None, frames: list, eps2: float, tile: slic
     a pass's temporaries are O(tile).
     """
     counts = []
-    for r, ((ka, acols), (strides, end)) in enumerate(zip(a, frames)):
+    for r, ((ka, acols), (strides, start, end)) in enumerate(zip(a, frames)):
         offsets = _strip_offsets(strides)
         offsets = offsets[len(offsets) // 2 :] if b is None else offsets
         kb, bcols = (ka, acols) if b is None else b[r]
         keys, cols = ka[tile], acols[:, tile]
         u = keys % end.size
-        lo_keys, hi_keys = _window_starts(end, u), end.take(u)
+        lo_keys, hi_keys = start.take(u), end.take(u)
         u -= keys  # the query's strip, negated; then each offset's probe keys
         lo_keys -= u
         hi_keys -= u

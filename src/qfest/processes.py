@@ -27,11 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_integer
+from .core import _STACK_BLOCK, _check_integer
 
 _MASK64 = (1 << 64) - 1
-# A transform's scratch buffers hold about this many values (one row at least).
-_FILL_BLOCK = 2**14
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -250,8 +248,9 @@ class GaussianMA:
         for rng, zr in draws(z):
             rng.standard_normal(out=zr)
         np.multiply(z[:, m : m + n], self.taps[0], out=out)
-        # the lagged terms go through scratch for a block of rows, not a second stack
-        step = max(1, _FILL_BLOCK // n)
+        # the lagged terms go through scratch for a block of rows of about
+        # _STACK_BLOCK values (one row at least), not a second stack
+        step = max(1, _STACK_BLOCK // n)
         lagged = np.empty((min(step, len(out)), n))
         for r in range(0, len(out), step):
             rows = out[r : r + step]

@@ -766,11 +766,21 @@ class TestMemoryBounds:
     @pytest.mark.parametrize("gap", [None, 13], ids=["complete", "gap-13"])
     def test_traced_peak_of_a_d2_divergence_record(self, gap):
         # the cells of x and y are built once, and each sample's keys sorted once;
-        # the peak, 4.57 times the input, is in building them
+        # the peak, 3.53 times the input, is in counting: the sorted copies, the
+        # window starts and ends of the row, and one pass's tile
         n = 50_000
         x, y = np.random.default_rng([2066, 2]).normal(size=(2, 1, n, 2))
         peak = _traced_peak(_count_stack, "divergence", x, y, math.log(n) / math.sqrt(n), gap)
-        assert peak <= 5 * (x.nbytes + y.nbytes)
+        assert peak <= 4 * (x.nbytes + y.nbytes)
+
+    @pytest.mark.parametrize("gap", [None, 13], ids=["complete", "gap-13"])
+    def test_traced_peak_of_a_d3_divergence_record(self, gap):
+        # as at d = 2, with two coordinates cut into cells; the peak, 3.68
+        # times the input, holds the window starts the row keeps
+        n = 20_000
+        x, y = np.random.default_rng([2066, 3]).normal(size=(2, 1, n, 3))
+        peak = _traced_peak(_count_stack, "divergence", x, y, math.log(n) * n ** (-1 / 3), gap)
+        assert peak <= 4 * (x.nbytes + y.nbytes)
 
     def test_traced_peak_of_a_d2_strip_pass(self):
         # a pass counts one tile of queries, so its probe keys, window starts
@@ -983,6 +993,49 @@ class TestValueWindows:
                 assert values[rank].tolist() == column.tolist()
                 for u, near in enumerate(close):
                     assert np.flatnonzero(near).tolist() == list(range(start[u], end[u]))
+
+    @pytest.mark.parametrize("kind", _CELL_COLUMNS)
+    def test_frame_starts_are_the_window_starts(self, kind):
+        # the starts each row's frame keeps, counted from its ends once, are
+        # the searched starts of every rank, on the union of both samples
+        rng = np.random.default_rng([2074, list(_CELL_COLUMNS).index(kind)])
+        for _ in range(5):
+            n = int(rng.integers(1, 60))
+            x, y = (np.stack([np.column_stack([rng.normal(size=n), _CELL_COLUMNS[kind](rng, n)])
+                              for _ in range(3)]) for _ in range(2))
+            for eps in (0.0, 0.6 * float(np.spacing(1e15)), 1.0, 1e150, 1e155):
+                with np.errstate(over="ignore"):  # as the kernel calls it
+                    _, frames = core._sorted_strips(eps, {"x": x, "y": y})
+                for strides, start, end in frames:
+                    assert start.tolist() == core._window_starts(end, np.arange(end.size)).tolist()
+
+
+class TestFlatRanges:
+    """Chunks of candidate ranges are exactly the ranges, concatenated, a block at a time."""
+
+    @pytest.mark.parametrize("block", [None, 5], ids=["default-block", "block-5"])
+    def test_chunks_concatenate_to_the_ranges(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(core, "_STACK_BLOCK", block)
+        size = core._STACK_BLOCK
+        rng = np.random.default_rng(2075)
+        # empty and reversed ranges, ranges longer than a chunk, and ranges
+        # that end exactly on a chunk boundary or cross one
+        lengths = [0, 3 * size + 2, 0, -4, 1, size - 1, 0, size, 2 * size, 0, 7, 0]
+        for lens in (lengths, lengths[::-1], [0, 0], [size], rng.integers(-3, 9, size=200)):
+            lo = rng.integers(0, 1000, size=len(lens))
+            hi = lo + np.asarray(lens)
+            want_rows = [i for i, (a, b) in enumerate(zip(lo, hi)) for _ in range(a, b)]
+            want_pos = [j for a, b in zip(lo, hi) for j in range(a, b)]
+            got_rows, got_pos, sizes = [], [], []
+            for rows, reps, pos in core._iter_flat_ranges(lo, hi):
+                assert len(reps) == rows.stop - rows.start and reps.min() >= 0
+                got_rows += np.repeat(np.arange(rows.start, rows.stop), reps).tolist()
+                got_pos += pos.tolist()
+                sizes.append(pos.size)
+            assert (got_rows, got_pos) == (want_rows, want_pos)
+            # every chunk but the last is full, and none is empty
+            assert sizes == [size] * (len(sizes) - 1) + sizes[-1:] and 0 not in sizes
 
 
 def _identity_instances():
