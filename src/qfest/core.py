@@ -358,12 +358,12 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
 def _distinct_ends(columns, eps: float, eps2: float):
     """The sorted distinct values of ``columns``' union, each value's rank among them, and their window ends.
 
-    ``columns`` is a sequence of 1-D arrays (or one 1-D array).  Their union
-    is argsorted once and dropped once its sorted copy is made; the values
-    and the ranks come from the sorted copy, whose buffer then holds the
-    ranks in sorted order until they are scattered back to the points.
+    ``columns`` is one 1-D array or a sequence of them.  Their union is
+    argsorted once and dropped once its sorted copy is made; the values and
+    the ranks come from the sorted copy, whose buffer then holds the ranks in
+    sorted order until they are scattered back to the points.
     """
-    column = np.concatenate(columns, axis=None)
+    column = columns if isinstance(columns, np.ndarray) else np.concatenate(columns)
     order = column.argsort()
     column = column.take(order)
     new = np.empty(column.size, dtype=bool)  # where a run of equal sorted values starts

@@ -1006,7 +1006,7 @@ class TestValueWindows:
             for eps in (0.0, 0.6 * float(np.spacing(1e15)), 1.0, 1e150, 1e155):
                 with np.errstate(over="ignore"):  # as the kernel calls it
                     _, frames = core._sorted_strips(eps, {"x": x, "y": y})
-                for strides, start, end in frames:
+                for _, start, end in frames:
                     assert start.tolist() == core._window_starts(end, np.arange(end.size)).tolist()
 
 
