@@ -287,8 +287,10 @@ def _read_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise _InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise _InputError(f"{path}:{lineno}: config key {key!r} is repeated")
+        values[key] = value
     return values
 
 
@@ -368,8 +370,6 @@ def _read_sample_lines(path: str) -> np.ndarray:
                 f"{path}:{lineno}: expected {width} coordinates, got {len(row)}"
             )
         rows.append(row)
-    if not rows:
-        raise _InputError(f"{path}: no observations found")
     return np.asarray(rows, dtype=float)
 
 
@@ -395,9 +395,9 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
     paths = ns.inputs
     functional = merged["functional"]
     two_sample = "q11" in _PIECES.get(functional, ())
-    if two_sample and len(paths) != 2:
+    if (two_sample or functional == "q02") and len(paths) != 2:
         raise _InputError(f"functional {functional} needs two input files")
-    if not two_sample and len(paths) not in (1, 2):
+    if len(paths) not in (1, 2):
         raise _InputError("expected one or two input files")
     samples = [_read_sample(p) for p in paths]
     variant = merged["variant"]

@@ -1,9 +1,11 @@
 """Geometry and exact fixed-radius pair counting.
 
 Counts pairs of observations at Euclidean distance <= epsilon (closed ball,
-no tolerance slack).  Every path compares the squared distance, accumulated
-coordinate by coordinate, against epsilon**2, so the counts agree bit for bit
-on any input with the one brute-force reference, ``oracle.naive_lag_counts``.
+no tolerance slack).  One function, ``_close``, decides every closeness: it
+sums a pair's squared differences coordinate by coordinate, as the brute
+force does, and compares the sum with epsilon**2, so the counts agree bit
+for bit on any input with the one brute-force reference,
+``oracle.naive_lag_counts``.
 
 Every count goes through one kernel, ``_record_counts``, which counts a record
 of pieces (within-counts of a sample and cross counts of a pair) over stacks
@@ -23,19 +25,19 @@ values close to it.  Cells and window ends are built once per row of a
 record, and the window starts are counted from the ends once per row, so a
 pass only looks them up; each sample is sorted once by a key of cell ranks
 and, fastest, last-value ranks, so a point's candidates in each of its
-3**(k-1) neighbour strips are one contiguous range, and each is checked with
-the full predicate.  Every gap
-count is the full count minus the near-lag counts up to the gap, each lag a
-dense comparison of the stack shifted along time.
+3**(k-1) neighbour strips are one contiguous range, and each candidate is
+checked by ``_close``.  Every gap count is the full count minus the near-lag
+counts up to the gap, each lag a dense comparison of the stack shifted along
+time.
 
-Each window end starts from a guess, placed by one stable merge of the
-sorted guesses q + eps with their sorted row; the guesses that missed are
-then bisected on the one predicate "at or below the query or close to it",
-which holds on a prefix of the row.  One block size, ``_STACK_BLOCK``,
-bounds every temporary.  Rows are counted a block of whole rows of about
-that many values at a time (one row when a row is longer), each block
-sorted or gridded once; one loop then walks the rows a tile of that many
-positions at a time, and each pass counts just its tile: window ends of
+Each window end starts from a guess, placed by one stable merge of the sorted
+guesses q + eps with their sorted row; the ends that missed are then
+bisected, each over its whole row, on the one predicate "at or below the
+query or close to it", which holds on a prefix of the row.  One block size,
+``_STACK_BLOCK``, bounds every temporary.  Rows are counted a block of whole
+rows of about that many values at a time (one row when a row is longer), each
+block sorted or gridded once; one loop then walks the rows a tile of that
+many positions at a time, and each pass counts just its tile: window ends of
 sorted queries, their guesses merged with the span of the row they cover a
 piece of that many values at a time; strip candidates, checked that many
 pairs at a time; or near lags.  A record so needs the sorted copies of its
@@ -209,53 +211,43 @@ def _iter_flat_ranges(lo: np.ndarray, hi: np.ndarray):
         yield slice(r0, r1), lens, pos
 
 
+def _close(diffs, eps2: float) -> np.ndarray:
+    """Whether each pair is close, given its coordinate differences in coordinate order.
+
+    Each difference is a fresh array and is squared in place; the squares are
+    summed from the first coordinate, as the brute force sums them.
+    """
+    s = None
+    for diff in diffs:
+        diff *= diff
+        if s is None:
+            s = diff
+        else:
+            s += diff
+    return s <= eps2
+
+
 def _close_in_ranges(
     a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps2: float
 ) -> int:
     """Close pairs (a_i, b_j) over j in [lo_i, hi_i), each checked exactly.
 
-    ``a`` and ``b`` hold one coordinate per row, shape (d, n).  The squared
-    distance of a_i - b_j is accumulated coordinate by coordinate, as in the
-    brute force.
+    ``a`` and ``b`` hold one coordinate per row, shape (d, n).
     """
-    count = 0
-    for rows, reps, pos in _iter_flat_ranges(lo, hi):
-        s = None
+
+    def diffs(rows, reps, pos):  # in place: each query coordinate, repeated, less the candidates'
         for ak, bk in zip(a, b):
-            # in place, with the rounding of s + (a - b) * (a - b)
             diff = np.repeat(ak[rows], reps)
             diff -= bk.take(pos)
-            diff *= diff
-            if s is None:
-                s = diff
-            else:
-                s += diff
-        count += int(np.count_nonzero(s <= eps2))
-    return count
+            yield diff
+
+    chunks = _iter_flat_ranges(lo, hi)
+    return sum(int(np.count_nonzero(_close(diffs(*chunk), eps2))) for chunk in chunks)
 
 
 # ---------------------------------------------------------------------------
 # Exact 1-D windows in sorted rows
 # ---------------------------------------------------------------------------
-
-
-def _bisect(inside: np.ndarray, outside: np.ndarray, holds) -> np.ndarray:
-    """The first position in each bracket (inside, outside] where ``holds`` fails.
-
-    ``holds(pos, which)`` is a predicate of the queries ``which`` at the flat
-    positions ``pos``; over each bracket it holds on a prefix and then fails
-    for good.  It is never asked at the bracket's ends: ``inside`` holds or
-    lies just before the query's row, and ``outside`` fails or lies just past
-    it.  The brackets, fresh arrays, are halved in place, O(log n) rounds.
-    """
-    active = np.flatnonzero(outside - inside > 1)
-    while active.size:
-        mid = (inside[active] + outside[active]) // 2
-        ok = holds(mid, active)
-        inside[active[ok]] = mid[ok]
-        outside[active[~ok]] = mid[~ok]
-        active = active[outside[active] - inside[active] > 1]
-    return outside
 
 
 def _merged_ends(xs: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -301,14 +293,14 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     (R, n) stack of sorted rows and ``q`` an (R, m) stack of sorted rows of
     queries; the queries of row r are windowed in row r of ``xs`` only.  The
     end is the first value that fails the one predicate "at or below the
-    query, or ``diff*diff <= eps2``".  Rounding is monotone, so the predicate
+    query, or ``_close`` to it".  Rounding is monotone, so the predicate
     holds on a prefix of a sorted row, and the guesses ``q + eps`` of a row
     stay sorted.  The guesses are placed by one stable merge with their rows,
     the whole stack at once for rows of up to ``_STACK_BLOCK`` values and a
     piece of the span at a time for longer ones.  Each guess is then checked
     once, for the whole stack, against the values on both sides of it; the
-    queries where the predicate disagrees with the guess are bisected, all in
-    one call, each within its own row, in O(log n) rounds.
+    queries where the predicate disagrees with the guess are bisected
+    together, each over its whole row, in O(log n) rounds.
     """
     rows, n = xs.shape
     m = q.shape[1]
@@ -320,11 +312,9 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
         flat = (np.stack([_span_ends(x, gr) for x, gr in zip(xs, g)]) + first).ravel()
     flat_x, flat_q = xs.ravel(), q.ravel()
 
-    def holds(x, qv):  # at or below the query or close to it; squares x - qv in the fresh x
+    def holds(x, qv):  # at or below the query or close to it; x is a fresh array
         below = x <= qv
-        x -= qv
-        x *= x
-        below |= x <= eps2
+        below |= _close((np.subtract(x, qv, out=x),), eps2)
         return below
 
     # a guess is early when the predicate holds at its end, and late when it
@@ -332,16 +322,20 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
     # query's row: the end is the number of the row's values at or below g
     early, late = (g < xs[:, -1:]).ravel(), (g >= xs[:, :1]).ravel()
     early &= holds(flat_x.take(flat, mode="clip"), flat_q)
-    flat -= 1
-    late &= ~holds(flat_x.take(flat, mode="clip"), flat_q)
-    flat += 1
+    late &= ~holds(flat_x.take(flat - 1, mode="clip"), flat_q)
+    # a missed end, early or late, is the first failure in the bracket (row
+    # start - 1, row start + n]: the predicate holds on a prefix of the row, so
+    # taking it to hold before the row and fail past it, it is asked only within
     miss = np.flatnonzero(early | late)
-    if miss.size:  # an early end lies in (flat, row end], a late one in [row start, flat - 1]
-        start, grow = miss // m * n, early[miss]
-        flat[miss] = _bisect(
-            np.where(grow, flat[miss], start - 1), np.where(grow, start + n, flat[miss] - 1),
-            lambda pos, k: holds(flat_x[pos], flat_q[miss[k]]),
-        )
+    inside = miss // m * n - 1
+    outside = inside + (n + 1)
+    active = np.arange(miss.size)
+    while active.size:
+        mid = (inside[active] + outside[active]) // 2
+        ok = holds(flat_x[mid], flat_q[miss[active]])
+        inside[active[ok]], outside[active[~ok]] = mid[ok], mid[~ok]
+        active = active[outside[active] - inside[active] > 1]
+    flat[miss] = outside
     return flat.reshape(q.shape) - first
 
 
@@ -358,12 +352,12 @@ def _window_ends(xs: np.ndarray, q: np.ndarray, eps: float, eps2: float) -> np.n
 def _distinct_ends(columns, eps: float, eps2: float):
     """The sorted distinct values of ``columns``' union, each value's rank among them, and their window ends.
 
-    ``columns`` is one 1-D array or a sequence of them.  Their union is
-    argsorted once and dropped once its sorted copy is made; the values and
-    the ranks come from the sorted copy, whose buffer then holds the ranks in
-    sorted order until they are scattered back to the points.
+    ``columns`` is a sequence of 1-D arrays.  Their union is argsorted once
+    and dropped once its sorted copy is made; the values and the ranks come
+    from the sorted copy, whose buffer then holds the ranks in sorted order
+    until they are scattered back to the points.
     """
-    column = columns if isinstance(columns, np.ndarray) else np.concatenate(columns)
+    column = np.concatenate(columns)
     order = column.argsort()
     column = column.take(order)
     new = np.empty(column.size, dtype=bool)  # where a run of equal sorted values starts
@@ -400,10 +394,8 @@ def _cell_ranks(columns, eps: float, eps2: float) -> np.ndarray:
         starts.append(s)
         s = int(ends[s])
     starts = np.array(starts, dtype=np.intp)
-    step = values[starts] - values[starts - 1]
-    step *= step
     jumps = np.zeros(values.size, dtype=np.int64)
-    jumps[starts] = np.where(step <= eps2, 1, 2)
+    jumps[starts] = np.where(_close((values[starts] - values[starts - 1],), eps2), 1, 2)
     del values, ends  # before the ranks are gathered for every point
     cells = np.cumsum(jumps, out=jumps)
     cells += 1
@@ -530,17 +522,11 @@ def _count_strips(a: list, b: list | None, frames: list, eps2: float, tile: slic
 
 
 def _shifted_close_count(a: np.ndarray, b: np.ndarray, eps2: float) -> np.ndarray:
-    """Close pairs among (a[r, i], b[r, i]) in each row r, coordinate-accumulated distances.
+    """Close pairs among (a[r, i], b[r, i]) in each row r.
 
     The stacks are (R, L, d); the counts broadcast to shape (R,).
     """
-    s = a[..., 0] - b[..., 0]
-    s *= s
-    for k in range(1, a.shape[2]):
-        term = a[..., k] - b[..., k]
-        term *= term
-        s += term
-    close = s <= eps2
+    close = _close((a[..., k] - b[..., k] for k in range(a.shape[2])), eps2)
     if len(close) == 1:  # the flat count of one row is several times faster
         return np.count_nonzero(close)
     # summing bools is exact, and skips count_nonzero's Python-level wrapper

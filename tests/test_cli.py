@@ -517,6 +517,13 @@ class TestEstimateInput:
         assert code == 2
         assert "needs two input files" in capsys.readouterr().err
 
+    def test_q02_needs_two_files(self, tmp_path, capsys):
+        # q02 is q20 of the second file, which one file does not have
+        a = _write_sample(tmp_path, "a.csv", [0.0, 0.0, 2.0])
+        code = main(["estimate", a, "--functional", "q02", "--epsilon", "1"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: functional q02 needs two input files\n")
+
     def test_q02_default_gap_comes_from_second_file(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         a = _write_sample(tmp_path, "a.csv", rng.normal(size=50))
@@ -756,6 +763,14 @@ class TestConfigFile:
         argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {config}:2: expected key=value, got 'noequals'\n"
+
+    def test_repeated_key_names_its_line(self, tmp_path, capsys):
+        # the later value is not taken silently: the key is given twice
+        config = tmp_path / "run.cfg"
+        config.write_text("epsilon=0.5\nvariant=complete\n epsilon = 0.1\n")
+        path = _write_sample(tmp_path, "x.csv", [0.0, 0.2, 0.4])
+        assert main(["estimate", path, "--functional", "q20", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: {config}:3: config key 'epsilon' is repeated\n")
 
     def test_comment_and_blank_lines_are_skipped(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

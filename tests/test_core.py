@@ -478,6 +478,46 @@ class TestOverflow:
         assert count_close_within(x, eps) > got[0]
 
 
+# Points whose squared distances sit on the edges of the float range, each
+# with radii about those distances: runs of ties one ulp (0.125) apart at
+# 1e15, differences of 1e-170 whose squares underflow to 0 (as 1e-170**2 does),
+# differences past 1e154 whose squares overflow to inf, and squares of 1 and
+# 2**-54 whose float sum depends on the order they are added in.
+_CLOSE_CASES = {
+    "1e15 tie runs": (lambda rng, n, d: 1e15 + rng.integers(0, 4, size=(n, d)) * 0.125,
+                      (0.0, 0.075, 0.125, 0.2, 0.25)),
+    "underflowing squares": (
+        lambda rng, n, d: rng.integers(0, 4, size=(n, d)) * 1e-170
+        + rng.integers(0, 2, size=(n, d)),
+        (0.0, 1e-170),
+    ),
+    "overflowing squares": (lambda rng, n, d: rng.normal(size=(n, d)) * 1e155,
+                            (1e150, 1e154, 1.3e154, 1e155)),
+    "summation order": (lambda rng, n, d: rng.choice([0.0, 1.0, 2.0**-27], size=(n, d)),
+                        (0.5, 1.0)),
+}
+
+
+class TestClose:
+    """The one closeness test equals the brute force's, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", _CLOSE_CASES)
+    def test_matches_the_reference(self, kind, d):
+        make, radii = _CLOSE_CASES[kind]
+        pts = make(np.random.default_rng([2076, d, list(_CLOSE_CASES).index(kind)]), 40, d)
+        seen = set()
+        for eps in radii:
+            eps2 = eps * eps
+            with np.errstate(over="ignore"):  # as the kernel and the reference call them
+                for p in pts:
+                    got = core._close([pts[:, k] - p[k] for k in range(d)], eps2)
+                    want = oracle._close_to(p, pts, eps2)
+                    assert got.tolist() == want.tolist()
+                    seen.update(got.tolist())
+        assert seen == {False, True}
+
+
 # Rows of these kinds are mixed within one stack, so a row's window that ran
 # past its own ends would reach values of another scale.
 _ROW_KINDS = {
@@ -677,7 +717,9 @@ class TestMergedEnds:
             monkeypatch.setattr(core, "_STACK_BLOCK", block)
         make, radii = _MERGE_CASES[kind]
         rng = np.random.default_rng([2073, list(_MERGE_CASES).index(kind)])
-        for n, m in [(1, 1), (4, 4), (5, 2), (6, 6), (23, 9), (60, 60), (60, 3)]:
+        # rows of 1 and 2 values are the edges of a row-wide bisection
+        for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 4), (5, 2), (6, 6), (23, 9), (60, 60),
+                     (60, 3)]:
             xs = np.sort(np.stack([make(rng, n) for _ in range(3)]), axis=1)
             q = np.sort(np.stack([make(rng, m) for _ in range(3)]), axis=1)
             for eps in radii:
@@ -690,6 +732,27 @@ class TestMergedEnds:
                 assert merged.tolist() == want
                 assert [core._span_ends(x, r).tolist() for x, r in zip(xs, g)] == want
                 assert ends.tolist() == [_brute_ends(x, r, eps * eps) for x, r in zip(xs, q)]
+
+    @pytest.mark.parametrize("n", [4, 23])
+    def test_every_guess_missed(self, monkeypatch, n):
+        # every query is below its row's top value, and the next value above
+        # it is one or two steps up: at 1e-163 a step squares to 0 within about
+        # 15 steps, so that value is close and past the guess q + 1e-170, and
+        # the guess is early; at 1e15 a step of one ulp rounds q + 0.6 ulp onto
+        # it, not close, and the guess is late.  Rows of 4 are merged whole and
+        # rows of 23 a piece at a time; each missed end is bisected in its row
+        monkeypatch.setattr(core, "_STACK_BLOCK", 5)
+        rng = np.random.default_rng([2077, n])
+        for steps, scale, offset, eps in ((3, 1e-163, 0.0, 1e-170), (2, 0.125, 1e15, 0.075)):
+            rise = rng.integers(0, steps, size=(4, n))  # steps of 0 are tie runs
+            rise[:, -1] = 1
+            xs = offset + np.cumsum(rise, axis=1) * scale
+            q = xs[:, :-1]
+            ends = core._window_ends(xs, q, eps, eps * eps)
+            want = [_brute_ends(x, r, eps * eps) for x, r in zip(xs, q)]
+            guesses = [x.searchsorted(r + eps, side="right").tolist() for x, r in zip(xs, q)]
+            assert all(a != b for row, guess in zip(want, guesses) for a, b in zip(row, guess))
+            assert ends.tolist() == want
 
     def test_skewed_long_row(self):
         # a tile of x about 0 covers every value of y: a span of about n values
@@ -957,7 +1020,7 @@ class TestCellRanks:
                 eps2 = eps * eps
                 points = column[:, None]
                 with np.errstate(over="ignore"):  # as the kernel and the reference call them
-                    ranks = core._cell_ranks(column, eps, eps2).tolist()
+                    ranks = core._cell_ranks([column], eps, eps2).tolist()
                     # close[i][j]: the reference's per-pair predicate on values i and j
                     close = [oracle._close_to(p, points, eps2).tolist() for p in points]
                 values = column.tolist()
@@ -986,7 +1049,7 @@ class TestValueWindows:
             for eps in (0.0, 0.6 * float(np.spacing(1e15)), 1.0, 1e150, 1e155):
                 eps2 = eps * eps
                 with np.errstate(over="ignore"):  # as the kernel and the reference call them
-                    values, rank, end = core._distinct_ends(column, eps, eps2)
+                    values, rank, end = core._distinct_ends([column], eps, eps2)
                     close = [oracle._close_to(p, distinct[:, None], eps2) for p in distinct[:, None]]
                 start = core._window_starts(end, np.arange(end.size))
                 assert values.tolist() == distinct.tolist()
